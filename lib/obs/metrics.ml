@@ -1,13 +1,25 @@
-type scope = {
-  s_label : string;
-  commit_h : Histogram.t;
-  abort_retry_h : Histogram.t;
-  lock_wait_h : Histogram.t;
-  wakeup_h : Histogram.t;
-  combine_h : Histogram.t;
-  intended_h : Histogram.t;
-  service_h : Histogram.t;
-}
+(* The histogram kinds; metrics.mli says what each histogram measures.
+   Rows are declared in [scope_summary] field order, which is the JSON
+   key order; each row's value is its index into a scope's [hists].  A
+   recorder drops samples below the row's [floor]: a combiner drain
+   holds at least one commit, and a negative latency is clock skew
+   (lock waits keep theirs, clamped into the zero bucket). *)
+let rows = ref []
+
+let row ?(floor = min_int) name =
+  rows := (name, floor) :: !rows;
+  List.length !rows - 1
+
+let commit = row "commit"
+let abort_to_retry = row "abort_to_retry"
+let lock_wait = row "lock_wait"
+let wakeup = row "wakeup" ~floor:0
+let combine_batch = row "combine_batch" ~floor:1
+let intended = row "intended" ~floor:0
+let service = row "service" ~floor:0
+let kinds = Array.of_list (List.rev !rows)
+
+type scope = { s_label : string; hists : Histogram.t array }
 
 let table : (string, scope) Hashtbl.t = Hashtbl.create 8
 let table_lock = Mutex.create ()
@@ -18,18 +30,8 @@ let scope_of label =
     match Hashtbl.find_opt table label with
     | Some s -> s
     | None ->
-        let s =
-          {
-            s_label = label;
-            commit_h = Histogram.create ();
-            abort_retry_h = Histogram.create ();
-            lock_wait_h = Histogram.create ();
-            wakeup_h = Histogram.create ();
-            combine_h = Histogram.create ();
-            intended_h = Histogram.create ();
-            service_h = Histogram.create ();
-          }
-        in
+        let hists = Array.map (fun _ -> Histogram.create ()) kinds in
+        let s = { s_label = label; hists } in
         Hashtbl.add table label s;
         s
   in
@@ -76,16 +78,9 @@ let reset () =
 
 let reset_scope label =
   Mutex.lock table_lock;
-  (match Hashtbl.find_opt table label with
-  | Some s ->
-      Histogram.reset s.commit_h;
-      Histogram.reset s.abort_retry_h;
-      Histogram.reset s.lock_wait_h;
-      Histogram.reset s.wakeup_h;
-      Histogram.reset s.combine_h;
-      Histogram.reset s.intended_h;
-      Histogram.reset s.service_h
-  | None -> ());
+  Option.iter
+    (fun s -> Array.iter Histogram.reset s.hists)
+    (Hashtbl.find_opt table label);
   Mutex.unlock table_lock
 
 type scope_summary = {
@@ -100,15 +95,16 @@ type scope_summary = {
 }
 
 let summarize (s : scope) =
+  let h = Array.map Histogram.summarize s.hists in
   {
     label = s.s_label;
-    commit = Histogram.summarize s.commit_h;
-    abort_to_retry = Histogram.summarize s.abort_retry_h;
-    lock_wait = Histogram.summarize s.lock_wait_h;
-    wakeup = Histogram.summarize s.wakeup_h;
-    combine_batch = Histogram.summarize s.combine_h;
-    intended = Histogram.summarize s.intended_h;
-    service = Histogram.summarize s.service_h;
+    commit = h.(commit);
+    abort_to_retry = h.(abort_to_retry);
+    lock_wait = h.(lock_wait);
+    wakeup = h.(wakeup);
+    combine_batch = h.(combine_batch);
+    intended = h.(intended);
+    service = h.(service);
   }
 
 let read_scope label =
@@ -125,17 +121,13 @@ let scopes () =
     (List.sort (fun a b -> compare a.s_label b.s_label) all)
 
 let scope_summary_to_json (s : scope_summary) =
+  let h =
+    [| s.commit; s.abort_to_retry; s.lock_wait; s.wakeup; s.combine_batch;
+       s.intended; s.service |]
+  in
+  let entry (k, _) h = (k, Histogram.summary_to_json h) in
   Json.Obj
-    [
-      ("label", Json.String s.label);
-      ("commit", Histogram.summary_to_json s.commit);
-      ("abort_to_retry", Histogram.summary_to_json s.abort_to_retry);
-      ("lock_wait", Histogram.summary_to_json s.lock_wait);
-      ("wakeup", Histogram.summary_to_json s.wakeup);
-      ("combine_batch", Histogram.summary_to_json s.combine_batch);
-      ("intended", Histogram.summary_to_json s.intended);
-      ("service", Histogram.summary_to_json s.service);
-    ]
+    (("label", Json.String s.label) :: Array.to_list (Array.map2 entry kinds h))
 
 (* ------------------------------------------------------------------ *)
 (* Named gauges                                                        *)
@@ -171,12 +163,14 @@ let gauges () =
    are off even if called directly; the STM's sites test the gate
    before calling, so the disabled fast path never reaches here. *)
 
+let record ctx i v = Histogram.record (my_scope ctx).hists.(i) v
+
 let on_attempt_start () =
   if enabled () then begin
     let ctx = Domain.DLS.get ctx_key in
     let now = Trace.now_ns () in
     if ctx.abort_ns > 0 then begin
-      Histogram.record (my_scope ctx).abort_retry_h (now - ctx.abort_ns);
+      record ctx abort_to_retry (now - ctx.abort_ns);
       ctx.abort_ns <- 0
     end;
     ctx.attempt_ns <- now
@@ -186,8 +180,7 @@ let on_commit () =
   if enabled () then begin
     let ctx = Domain.DLS.get ctx_key in
     if ctx.attempt_ns > 0 then begin
-      Histogram.record (my_scope ctx).commit_h
-        (Trace.now_ns () - ctx.attempt_ns);
+      record ctx commit (Trace.now_ns () - ctx.attempt_ns);
       ctx.attempt_ns <- 0
     end
   end
@@ -199,40 +192,13 @@ let on_abort () =
     ctx.attempt_ns <- 0
   end
 
-let add_lock_wait ns =
-  if enabled () then
-    let ctx = Domain.DLS.get ctx_key in
-    Histogram.record (my_scope ctx).lock_wait_h ns
+(* One sample into row [i] of the calling domain's scope, unless it is
+   below the row's floor. *)
+let sample i v =
+  if enabled () && v >= snd kinds.(i) then record (Domain.DLS.get ctx_key) i v
 
-(* Parking wakeup latency: wake publication (the committer's stamp on
-   the waiter, see Waitq.wake) to the parked domain's resume.  Recorded
-   by the resuming domain, so it lands in that domain's scope. *)
-let add_wakeup_latency ns =
-  if enabled () && ns >= 0 then
-    let ctx = Domain.DLS.get ctx_key in
-    Histogram.record (my_scope ctx).wakeup_h ns
-
-(* Flat-combining batch size: commits published per combiner drain,
-   recorded by the combiner in its own scope.  A count, not a latency,
-   but the log-bucketed histogram serves both; mean batch size is the
-   summary's [mean]. *)
-let add_combiner_batch n =
-  if enabled () && n >= 1 then
-    let ctx = Domain.DLS.get ctx_key in
-    Histogram.record (my_scope ctx).combine_h n
-
-(* Open-system (coordinated-omission-correct) latency pair, recorded by
-   the open runner once per completed request.  [intended] measures
-   from the request's scheduled arrival time — queueing delay a
-   closed-loop harness would silently swallow stays in the number —
-   while [service] measures from actual admission, so their divergence
-   *is* the backlog.  Negative samples (clock skew) are dropped. *)
-let add_intended_latency ns =
-  if enabled () && ns >= 0 then
-    let ctx = Domain.DLS.get ctx_key in
-    Histogram.record (my_scope ctx).intended_h ns
-
-let add_service_latency ns =
-  if enabled () && ns >= 0 then
-    let ctx = Domain.DLS.get ctx_key in
-    Histogram.record (my_scope ctx).service_h ns
+let add_lock_wait ns = sample lock_wait ns
+let add_wakeup_latency ns = sample wakeup ns
+let add_combiner_batch n = sample combine_batch n
+let add_intended_latency ns = sample intended ns
+let add_service_latency ns = sample service ns

@@ -1,7 +1,7 @@
 (** Per-scope latency histograms.
 
     A {e scope} is a string label — the bench harness uses
-    ["<impl>/<mode>"] — holding three log-bucketed histograms:
+    ["<impl>/<mode>"] — holding seven log-bucketed histograms:
 
     - [commit]: attempt-start → successful commit, nanoseconds;
     - [abort_to_retry]: abort → next attempt start on the same domain

@@ -82,6 +82,50 @@ type done_t = {
 
 type outcome = Committed of done_t | Rejected of abort_reason
 
+(* The post-linearization block both publication paths share.  The
+   attempt has linearized: whatever the locked-phase hooks do, the
+   write set publishes, the locks release, and the after-commit hooks
+   still run — structure residue cleanup (e.g. pessimistic
+   abstract-lock release) rides on the latter, so a raising locked
+   hook must not starve them.  The earliest hook failure wins and
+   re-raises once hygiene is restored (in the ladder).
+
+   Durable hooks run while the write locks are still held: the
+   redo-log append for a conflicting successor cannot be ordered
+   before ours, so append order agrees with conflict order.  Each
+   hook gets the commit version as its LSN and may hand back a
+   flush-wait thunk, deferred until every lock and gate is
+   released — group commit means the wait spans other domains'
+   appends and must not extend the locked window.  Never raises. *)
+let publish_linearized t ~wv ~wrote =
+  t.finished <- true;
+  let locked_hooks = List.rev t.commit_locked_hooks in
+  let after_hooks = List.rev t.after_commit_hooks in
+  let durable_hooks = List.rev t.durable_hooks in
+  t.commit_locked_hooks <- [];
+  t.after_commit_hooks <- [];
+  t.abort_hooks <- [];
+  t.durable_hooks <- [];
+  let failure =
+    ref (match run_hooks locked_hooks with () -> None | exception e -> Some e)
+  in
+  let waits = ref [] in
+  List.iter
+    (fun h ->
+      match h wv with
+      | None -> ()
+      | Some wait -> waits := wait :: !waits
+      | exception e -> if !failure = None then failure := Some e)
+    durable_hooks;
+  Rwset.Wlog.publish_plan t.wset ~version:wv;
+  release_locks t;
+  {
+    pd_after = after_hooks;
+    pd_waits = List.rev !waits;
+    pd_failure = !failure;
+    pd_wrote = wrote;
+  }
+
 (* A waiter's entry on the publication list.  The state cell is the
    handoff protocol: the combiner CASes [Waiting → Claimed] (winning
    the right to commit the entry) and stores [Done]; the owner CASes
@@ -307,39 +351,10 @@ let commit_entry bs t =
          the combiner's domain; the paired [Metrics.on_commit] runs
          owner-side when the outcome is consumed. *)
       Stats.record_commit ();
-      t.finished <- true;
-      let locked_hooks = List.rev t.commit_locked_hooks in
-      let after_hooks = List.rev t.after_commit_hooks in
-      let durable_hooks = List.rev t.durable_hooks in
-      t.commit_locked_hooks <- [];
-      t.after_commit_hooks <- [];
-      t.abort_hooks <- [];
-      t.durable_hooks <- [];
-      let failure =
-        match run_hooks locked_hooks with
-        | () -> None
-        | exception e -> Some e
-      in
-      let failure = ref failure in
-      let waits = ref [] in
-      List.iter
-        (fun h ->
-          match h wv with
-          | None -> ()
-          | Some wait -> waits := wait :: !waits
-          | exception e -> if !failure = None then failure := Some e)
-        durable_hooks;
-      Rwset.Wlog.publish_plan t.wset ~version:wv;
+      let d = publish_linearized t ~wv ~wrote:true in
       note_published bs t;
-      release_locks t;
       bs.bs_dirty <- true;
-      Committed
-        {
-          pd_after = after_hooks;
-          pd_waits = List.rev !waits;
-          pd_failure = !failure;
-          pd_wrote = true;
-        }
+      Committed d
     end
   end
 
@@ -590,47 +605,9 @@ let publish_inline t ~has_writes =
   Stats.record_commit ();
   obs_commit t;
   (* Phase 4: locked-phase handlers (replay logs), then publish. *)
-  t.finished <- true;
-  let locked_hooks = List.rev t.commit_locked_hooks in
-  let after_hooks = List.rev t.after_commit_hooks in
-  let durable_hooks = List.rev t.durable_hooks in
-  t.commit_locked_hooks <- [];
-  t.after_commit_hooks <- [];
-  t.durable_hooks <- [];
-  (* The attempt has linearized: whatever the locked-phase hooks do,
-     the write set publishes, the locks release, and the after-commit
-     hooks still run — structure residue cleanup (e.g. pessimistic
-     abstract-lock release) rides on the latter, so a raising locked
-     hook must not starve them.  The earliest hook failure wins and
-     re-raises once hygiene is restored (in the ladder). *)
-  let locked_failure =
-    match run_hooks locked_hooks with () -> None | exception e -> Some e
-  in
-  (* Durable hooks run while the write locks are still held: the
-     redo-log append for a conflicting successor cannot be ordered
-     before ours, so append order agrees with conflict order.  Each
-     hook gets the commit version as its LSN and may hand back a
-     flush-wait thunk, deferred until every lock and gate is
-     released — group commit means the wait spans other domains'
-     appends and must not extend the locked window. *)
-  let locked_failure = ref locked_failure in
-  let waits = ref [] in
-  List.iter
-    (fun h ->
-      match h wv with
-      | None -> ()
-      | Some wait -> waits := wait :: !waits
-      | exception e -> if !locked_failure = None then locked_failure := Some e)
-    durable_hooks;
-  Rwset.Wlog.publish_plan t.wset ~version:wv;
-  release_locks t;
+  let d = publish_linearized t ~wv ~wrote:has_writes in
   t.proto.p_release t;
-  {
-    pd_after = after_hooks;
-    pd_waits = List.rev !waits;
-    pd_failure = !locked_failure;
-    pd_wrote = has_writes;
-  }
+  d
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)

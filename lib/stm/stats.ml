@@ -37,350 +37,212 @@ type snapshot = {
   combiner_elections : int;
 }
 
-(* Counters are striped across a fixed number of slots to avoid making
-   the stats themselves a contention hot spot; a domain hashes to a slot. *)
-let stripes = 16
+(* An event counter is striped and summed on [read]; [diff] subtracts
+   it.  A gauge is one set-style or high-water reading, so the latest
+   value is the whole story: it lives unstriped and [diff] keeps the
+   later reading. *)
+type kind = Counter | Gauge
 
-type cell = {
-  starts : int Atomic.t;
-  commits : int Atomic.t;
-  aborts : int Atomic.t;
-  conflicts : int Atomic.t;
-  remote_aborts : int Atomic.t;
-  lock_waits : int Atomic.t;
-  extensions : int Atomic.t;
-  killed_aborts : int Atomic.t;
-  explicit_aborts : int Atomic.t;
-  fallbacks : int Atomic.t;
-  injected_faults : int Atomic.t;
-  timeouts : int Atomic.t;
-  budget_exhausted : int Atomic.t;
-  shed : int Atomic.t;
-  watchdog_kills : int Atomic.t;
-  degraded_transitions : int Atomic.t;
-  minor_words : int Atomic.t;
-  log_appends : int Atomic.t;
-  fsync_batches : int Atomic.t;
-  recoveries : int Atomic.t;
-  torn_tail_truncations : int Atomic.t;
-  parks : int Atomic.t;
-  wakeups : int Atomic.t;
-  spurious_wakeups : int Atomic.t;
-  retry_polls : int Atomic.t;
-  versions_installed : int Atomic.t;
-  versions_gced : int Atomic.t;
-  ro_snapshot_reads : int Atomic.t;
-  ro_commits : int Atomic.t;
-  ro_aborts : int Atomic.t;
-  combined_commits : int Atomic.t;
-  combiner_elections : int Atomic.t;
-}
+(* The instrument table.  Rows are declared in [snapshot] field order,
+   which is the [to_assoc] order and so the JSON/CSV column order; each
+   row's value is its index into a stripe. *)
+let rows = ref []
 
-let make_cell () =
+let row kind name =
+  rows := (name, kind) :: !rows;
+  List.length !rows - 1
+
+let starts = row Counter "starts"
+let commits = row Counter "commits"
+let aborts = row Counter "aborts"
+let conflicts = row Counter "conflicts"
+let remote_aborts = row Counter "remote_aborts"
+let lock_waits = row Counter "lock_waits"
+let extensions = row Counter "extensions"
+let killed_aborts = row Counter "killed_aborts"
+let explicit_aborts = row Counter "explicit_aborts"
+let fallbacks = row Counter "fallbacks"
+let injected_faults = row Counter "injected_faults"
+let timeouts = row Counter "timeouts"
+let budget_exhausted = row Counter "budget_exhausted"
+let shed = row Counter "shed"
+let watchdog_kills = row Counter "watchdog_kills"
+let degraded_transitions = row Counter "degraded_transitions"
+let minor_words = row Counter "minor_words"
+let log_appends = row Counter "log_appends"
+let fsync_batches = row Counter "fsync_batches"
+
+(* Published by the redo-log flusher after each batch. *)
+let fsync_batch_size_p50 = row Gauge "fsync_batch_size_p50"
+let fsync_batch_size_p99 = row Gauge "fsync_batch_size_p99"
+let recoveries = row Counter "recoveries"
+let torn_tail_truncations = row Counter "torn_tail_truncations"
+let parks = row Counter "parks"
+let wakeups = row Counter "wakeups"
+let spurious_wakeups = row Counter "spurious_wakeups"
+let retry_polls = row Counter "retry_polls"
+
+(* High-water: the longest per-tvar wait list since the last reset. *)
+let wait_list_max = row Gauge "wait_list_max"
+let versions_installed = row Counter "versions_installed"
+let versions_gced = row Counter "versions_gced"
+let ro_snapshot_reads = row Counter "ro_snapshot_reads"
+let ro_commits = row Counter "ro_commits"
+let ro_aborts = row Counter "ro_aborts"
+
+(* High-water: the longest version chain (0 outside Multi_version). *)
+let version_chain_max = row Gauge "version_chain_max"
+let combined_commits = row Counter "combined_commits"
+let combiner_elections = row Counter "combiner_elections"
+let table = Array.of_list (List.rev !rows)
+let n = Array.length table
+
+(* The one record constructor and the one record destructor. *)
+let of_array a =
   {
-    starts = Atomic.make 0;
-    commits = Atomic.make 0;
-    aborts = Atomic.make 0;
-    conflicts = Atomic.make 0;
-    remote_aborts = Atomic.make 0;
-    lock_waits = Atomic.make 0;
-    extensions = Atomic.make 0;
-    killed_aborts = Atomic.make 0;
-    explicit_aborts = Atomic.make 0;
-    fallbacks = Atomic.make 0;
-    injected_faults = Atomic.make 0;
-    timeouts = Atomic.make 0;
-    budget_exhausted = Atomic.make 0;
-    shed = Atomic.make 0;
-    watchdog_kills = Atomic.make 0;
-    degraded_transitions = Atomic.make 0;
-    minor_words = Atomic.make 0;
-    log_appends = Atomic.make 0;
-    fsync_batches = Atomic.make 0;
-    recoveries = Atomic.make 0;
-    torn_tail_truncations = Atomic.make 0;
-    parks = Atomic.make 0;
-    wakeups = Atomic.make 0;
-    spurious_wakeups = Atomic.make 0;
-    retry_polls = Atomic.make 0;
-    versions_installed = Atomic.make 0;
-    versions_gced = Atomic.make 0;
-    ro_snapshot_reads = Atomic.make 0;
-    ro_commits = Atomic.make 0;
-    ro_aborts = Atomic.make 0;
-    combined_commits = Atomic.make 0;
-    combiner_elections = Atomic.make 0;
+    starts = a.(starts);
+    commits = a.(commits);
+    aborts = a.(aborts);
+    conflicts = a.(conflicts);
+    remote_aborts = a.(remote_aborts);
+    lock_waits = a.(lock_waits);
+    extensions = a.(extensions);
+    killed_aborts = a.(killed_aborts);
+    explicit_aborts = a.(explicit_aborts);
+    fallbacks = a.(fallbacks);
+    injected_faults = a.(injected_faults);
+    timeouts = a.(timeouts);
+    budget_exhausted = a.(budget_exhausted);
+    shed = a.(shed);
+    watchdog_kills = a.(watchdog_kills);
+    degraded_transitions = a.(degraded_transitions);
+    minor_words = a.(minor_words);
+    log_appends = a.(log_appends);
+    fsync_batches = a.(fsync_batches);
+    fsync_batch_size_p50 = a.(fsync_batch_size_p50);
+    fsync_batch_size_p99 = a.(fsync_batch_size_p99);
+    recoveries = a.(recoveries);
+    torn_tail_truncations = a.(torn_tail_truncations);
+    parks = a.(parks);
+    wakeups = a.(wakeups);
+    spurious_wakeups = a.(spurious_wakeups);
+    retry_polls = a.(retry_polls);
+    wait_list_max = a.(wait_list_max);
+    versions_installed = a.(versions_installed);
+    versions_gced = a.(versions_gced);
+    ro_snapshot_reads = a.(ro_snapshot_reads);
+    ro_commits = a.(ro_commits);
+    ro_aborts = a.(ro_aborts);
+    version_chain_max = a.(version_chain_max);
+    combined_commits = a.(combined_commits);
+    combiner_elections = a.(combiner_elections);
   }
 
-(* Set-style gauges, not event counters: the redo-log flusher publishes
-   fresh batch-size percentiles after each batch, so the latest value is
-   the whole story and striping would only blur it. *)
-let fsync_p50 = Atomic.make 0
-let fsync_p99 = Atomic.make 0
+let to_array (s : snapshot) =
+  [| s.starts; s.commits; s.aborts; s.conflicts; s.remote_aborts;
+     s.lock_waits; s.extensions; s.killed_aborts; s.explicit_aborts;
+     s.fallbacks; s.injected_faults; s.timeouts; s.budget_exhausted; s.shed;
+     s.watchdog_kills; s.degraded_transitions; s.minor_words; s.log_appends;
+     s.fsync_batches; s.fsync_batch_size_p50; s.fsync_batch_size_p99;
+     s.recoveries; s.torn_tail_truncations; s.parks; s.wakeups;
+     s.spurious_wakeups; s.retry_polls; s.wait_list_max;
+     s.versions_installed; s.versions_gced; s.ro_snapshot_reads;
+     s.ro_commits; s.ro_aborts; s.version_chain_max; s.combined_commits;
+     s.combiner_elections |]
 
-(* High-water gauge: the longest per-tvar wait list observed since the
-   last reset.  A max, not a counter — [diff] carries the later
-   reading, like the fsync percentiles. *)
-let wait_list_max_v = Atomic.make 0
+(* The constructor reads by row name, the destructor by position; this
+   pins the two to the same order as the table. *)
+let () =
+  let ids = Array.init n Fun.id in
+  assert (to_array (of_array ids) = ids)
 
-(* High-water gauge: the longest tvar version chain installed since
-   the last reset (Multi_version mode only; stays 0 otherwise). *)
-let version_chain_max_v = Atomic.make 0
+(* Counters are striped across a fixed number of slots to avoid making
+   the stats themselves a contention hot spot; a domain hashes to a
+   stripe.  Stripe [s] holds row [i] at [slots.(s * n + i)]; a gauge
+   uses stripe 0 only. *)
+let stripes = 16
+let slots = Array.init (stripes * n) (fun _ -> Atomic.make 0)
 
-let cells = Array.init stripes (fun _ -> make_cell ())
-let my_cell () = cells.((Domain.self () :> int) land (stripes - 1))
-let bump (field : cell -> int Atomic.t) = Atomic.incr (field (my_cell ()))
-let record_start () = bump (fun c -> c.starts)
-let record_commit () = bump (fun c -> c.commits)
-let record_abort () = bump (fun c -> c.aborts)
-let record_conflict () = bump (fun c -> c.conflicts)
-let record_remote_abort () = bump (fun c -> c.remote_aborts)
-let record_lock_wait () = bump (fun c -> c.lock_waits)
-let record_extension () = bump (fun c -> c.extensions)
-let record_killed_abort () = bump (fun c -> c.killed_aborts)
-let record_explicit_abort () = bump (fun c -> c.explicit_aborts)
-let record_fallback () = bump (fun c -> c.fallbacks)
-let record_injected_fault () = bump (fun c -> c.injected_faults)
-let record_timeout () = bump (fun c -> c.timeouts)
-let record_budget_exhausted () = bump (fun c -> c.budget_exhausted)
-let record_shed () = bump (fun c -> c.shed)
-let record_watchdog_kill () = bump (fun c -> c.watchdog_kills)
-let record_degraded_transition () = bump (fun c -> c.degraded_transitions)
-let record_log_append () = bump (fun c -> c.log_appends)
-let record_fsync_batch () = bump (fun c -> c.fsync_batches)
-let record_recovery () = bump (fun c -> c.recoveries)
-let record_torn_tail_truncation () = bump (fun c -> c.torn_tail_truncations)
-let record_park () = bump (fun c -> c.parks)
-let record_wakeup () = bump (fun c -> c.wakeups)
-let record_spurious_wakeup () = bump (fun c -> c.spurious_wakeups)
-let record_retry_poll () = bump (fun c -> c.retry_polls)
-let record_version_install () = bump (fun c -> c.versions_installed)
-let record_ro_snapshot_read () = bump (fun c -> c.ro_snapshot_reads)
-let record_ro_commit () = bump (fun c -> c.ro_commits)
-let record_ro_abort () = bump (fun c -> c.ro_aborts)
-let record_combiner_election () = bump (fun c -> c.combiner_elections)
+let my_slot i =
+  slots.((((Domain.self () :> int) land (stripes - 1)) * n) + i)
 
-(* Bulk add: the combiner reports one count per drained batch, including
-   its own commit. *)
-let add_combined_commits n =
-  if n > 0 then ignore (Atomic.fetch_and_add (my_cell ()).combined_commits n)
+let bump i = Atomic.incr (my_slot i)
+let add i k = if k > 0 then ignore (Atomic.fetch_and_add (my_slot i) k)
 
-(* Bulk add, like [add_minor_words]: one publish can reclaim a whole
-   chain tail at once. *)
-let add_versions_gced n =
-  if n > 0 then ignore (Atomic.fetch_and_add (my_cell ()).versions_gced n)
+let rec raise_to i v =
+  let cur = Atomic.get slots.(i) in
+  if v > cur && not (Atomic.compare_and_set slots.(i) cur v) then raise_to i v
 
-(* Bulk add: read-only attempts count their snapshot reads in the txn
-   record and flush once at commit, keeping the striped RMW off the
-   per-read hot path. *)
-let add_ro_snapshot_reads n =
-  if n > 0 then ignore (Atomic.fetch_and_add (my_cell ()).ro_snapshot_reads n)
+let record_start () = bump starts
+let record_commit () = bump commits
+let record_abort () = bump aborts
+let record_conflict () = bump conflicts
+let record_remote_abort () = bump remote_aborts
+let record_lock_wait () = bump lock_waits
+let record_extension () = bump extensions
+let record_killed_abort () = bump killed_aborts
+let record_explicit_abort () = bump explicit_aborts
+let record_fallback () = bump fallbacks
+let record_injected_fault () = bump injected_faults
+let record_timeout () = bump timeouts
+let record_budget_exhausted () = bump budget_exhausted
+let record_shed () = bump shed
+let record_watchdog_kill () = bump watchdog_kills
+let record_degraded_transition () = bump degraded_transitions
+let record_log_append () = bump log_appends
+let record_fsync_batch () = bump fsync_batches
+let record_recovery () = bump recoveries
+let record_torn_tail_truncation () = bump torn_tail_truncations
+let record_park () = bump parks
+let record_wakeup () = bump wakeups
+let record_spurious_wakeup () = bump spurious_wakeups
+let record_retry_poll () = bump retry_polls
+let record_version_install () = bump versions_installed
+let record_ro_snapshot_read () = bump ro_snapshot_reads
+let record_ro_commit () = bump ro_commits
+let record_ro_abort () = bump ro_aborts
+let record_combiner_election () = bump combiner_elections
 
-let rec note_version_chain_len n =
-  let cur = Atomic.get version_chain_max_v in
-  if n > cur && not (Atomic.compare_and_set version_chain_max_v cur n) then
-    note_version_chain_len n
-
-let rec note_wait_list_len n =
-  let cur = Atomic.get wait_list_max_v in
-  if n > cur && not (Atomic.compare_and_set wait_list_max_v cur n) then
-    note_wait_list_len n
+(* Bulk adds: one [Gc.minor_words] delta per measured stretch, one count
+   per combiner batch or reclaimed chain tail, and a read-only attempt's
+   snapshot reads once at commit (keeping the RMW off the read path). *)
+let add_minor_words k = add minor_words k
+let add_combined_commits k = add combined_commits k
+let add_versions_gced k = add versions_gced k
+let add_ro_snapshot_reads k = add ro_snapshot_reads k
+let note_version_chain_len v = raise_to version_chain_max v
+let note_wait_list_len v = raise_to wait_list_max v
 
 let set_fsync_batch_percentiles ~p50 ~p99 =
-  Atomic.set fsync_p50 p50;
-  Atomic.set fsync_p99 p99
+  Atomic.set slots.(fsync_batch_size_p50) p50;
+  Atomic.set slots.(fsync_batch_size_p99) p99
 
-(* Unlike the event counters this one adds in bulk: workers report one
-   [Gc.minor_words] delta per measured stretch, not per allocation. *)
-let add_minor_words n =
-  if n > 0 then ignore (Atomic.fetch_and_add (my_cell ()).minor_words n)
+let read () =
+  of_array
+    (Array.mapi
+       (fun i (_, kind) ->
+         match kind with
+         | Gauge -> Atomic.get slots.(i)
+         | Counter ->
+             let total = ref 0 in
+             for s = 0 to stripes - 1 do
+               total := !total + Atomic.get slots.((s * n) + i)
+             done;
+             !total)
+       table)
 
-let fields : (cell -> int Atomic.t) list =
-  [
-    (fun c -> c.starts);
-    (fun c -> c.commits);
-    (fun c -> c.aborts);
-    (fun c -> c.conflicts);
-    (fun c -> c.remote_aborts);
-    (fun c -> c.lock_waits);
-    (fun c -> c.extensions);
-    (fun c -> c.killed_aborts);
-    (fun c -> c.explicit_aborts);
-    (fun c -> c.fallbacks);
-    (fun c -> c.injected_faults);
-    (fun c -> c.timeouts);
-    (fun c -> c.budget_exhausted);
-    (fun c -> c.shed);
-    (fun c -> c.watchdog_kills);
-    (fun c -> c.degraded_transitions);
-    (fun c -> c.minor_words);
-    (fun c -> c.log_appends);
-    (fun c -> c.fsync_batches);
-    (fun c -> c.recoveries);
-    (fun c -> c.torn_tail_truncations);
-    (fun c -> c.parks);
-    (fun c -> c.wakeups);
-    (fun c -> c.spurious_wakeups);
-    (fun c -> c.retry_polls);
-    (fun c -> c.versions_installed);
-    (fun c -> c.versions_gced);
-    (fun c -> c.ro_snapshot_reads);
-    (fun c -> c.ro_commits);
-    (fun c -> c.ro_aborts);
-    (fun c -> c.combined_commits);
-    (fun c -> c.combiner_elections);
-  ]
+let reset () = Array.iter (fun c -> Atomic.set c 0) slots
 
-let sum (field : cell -> int Atomic.t) =
-  Array.fold_left (fun acc c -> acc + Atomic.get (field c)) 0 cells
+let diff a b =
+  let a = to_array a in
+  of_array
+    (Array.mapi
+       (fun i v -> match snd table.(i) with Counter -> v - a.(i) | Gauge -> v)
+       (to_array b))
 
-let read () : snapshot =
-  {
-    starts = sum (fun c -> c.starts);
-    commits = sum (fun c -> c.commits);
-    aborts = sum (fun c -> c.aborts);
-    conflicts = sum (fun c -> c.conflicts);
-    remote_aborts = sum (fun c -> c.remote_aborts);
-    lock_waits = sum (fun c -> c.lock_waits);
-    extensions = sum (fun c -> c.extensions);
-    killed_aborts = sum (fun c -> c.killed_aborts);
-    explicit_aborts = sum (fun c -> c.explicit_aborts);
-    fallbacks = sum (fun c -> c.fallbacks);
-    injected_faults = sum (fun c -> c.injected_faults);
-    timeouts = sum (fun c -> c.timeouts);
-    budget_exhausted = sum (fun c -> c.budget_exhausted);
-    shed = sum (fun c -> c.shed);
-    watchdog_kills = sum (fun c -> c.watchdog_kills);
-    degraded_transitions = sum (fun c -> c.degraded_transitions);
-    minor_words = sum (fun c -> c.minor_words);
-    log_appends = sum (fun c -> c.log_appends);
-    fsync_batches = sum (fun c -> c.fsync_batches);
-    fsync_batch_size_p50 = Atomic.get fsync_p50;
-    fsync_batch_size_p99 = Atomic.get fsync_p99;
-    recoveries = sum (fun c -> c.recoveries);
-    torn_tail_truncations = sum (fun c -> c.torn_tail_truncations);
-    parks = sum (fun c -> c.parks);
-    wakeups = sum (fun c -> c.wakeups);
-    spurious_wakeups = sum (fun c -> c.spurious_wakeups);
-    retry_polls = sum (fun c -> c.retry_polls);
-    wait_list_max = Atomic.get wait_list_max_v;
-    versions_installed = sum (fun c -> c.versions_installed);
-    versions_gced = sum (fun c -> c.versions_gced);
-    ro_snapshot_reads = sum (fun c -> c.ro_snapshot_reads);
-    ro_commits = sum (fun c -> c.ro_commits);
-    ro_aborts = sum (fun c -> c.ro_aborts);
-    version_chain_max = Atomic.get version_chain_max_v;
-    combined_commits = sum (fun c -> c.combined_commits);
-    combiner_elections = sum (fun c -> c.combiner_elections);
-  }
+let to_assoc s =
+  Array.to_list (Array.map2 (fun (k, _) v -> (k, v)) table (to_array s))
 
-let reset () =
-  List.iter
-    (fun field -> Array.iter (fun c -> Atomic.set (field c) 0) cells)
-    fields;
-  Atomic.set fsync_p50 0;
-  Atomic.set fsync_p99 0;
-  Atomic.set wait_list_max_v 0;
-  Atomic.set version_chain_max_v 0
-
-let diff (a : snapshot) (b : snapshot) : snapshot =
-  {
-    starts = b.starts - a.starts;
-    commits = b.commits - a.commits;
-    aborts = b.aborts - a.aborts;
-    conflicts = b.conflicts - a.conflicts;
-    remote_aborts = b.remote_aborts - a.remote_aborts;
-    lock_waits = b.lock_waits - a.lock_waits;
-    extensions = b.extensions - a.extensions;
-    killed_aborts = b.killed_aborts - a.killed_aborts;
-    explicit_aborts = b.explicit_aborts - a.explicit_aborts;
-    fallbacks = b.fallbacks - a.fallbacks;
-    injected_faults = b.injected_faults - a.injected_faults;
-    timeouts = b.timeouts - a.timeouts;
-    budget_exhausted = b.budget_exhausted - a.budget_exhausted;
-    shed = b.shed - a.shed;
-    watchdog_kills = b.watchdog_kills - a.watchdog_kills;
-    degraded_transitions = b.degraded_transitions - a.degraded_transitions;
-    minor_words = b.minor_words - a.minor_words;
-    log_appends = b.log_appends - a.log_appends;
-    fsync_batches = b.fsync_batches - a.fsync_batches;
-    (* Gauges, not counters: the interval's value is the later reading. *)
-    fsync_batch_size_p50 = b.fsync_batch_size_p50;
-    fsync_batch_size_p99 = b.fsync_batch_size_p99;
-    recoveries = b.recoveries - a.recoveries;
-    torn_tail_truncations = b.torn_tail_truncations - a.torn_tail_truncations;
-    parks = b.parks - a.parks;
-    wakeups = b.wakeups - a.wakeups;
-    spurious_wakeups = b.spurious_wakeups - a.spurious_wakeups;
-    retry_polls = b.retry_polls - a.retry_polls;
-    (* Gauge (high-water mark): the later reading. *)
-    wait_list_max = b.wait_list_max;
-    versions_installed = b.versions_installed - a.versions_installed;
-    versions_gced = b.versions_gced - a.versions_gced;
-    ro_snapshot_reads = b.ro_snapshot_reads - a.ro_snapshot_reads;
-    ro_commits = b.ro_commits - a.ro_commits;
-    ro_aborts = b.ro_aborts - a.ro_aborts;
-    (* Gauge (high-water mark): the later reading. *)
-    version_chain_max = b.version_chain_max;
-    combined_commits = b.combined_commits - a.combined_commits;
-    combiner_elections = b.combiner_elections - a.combiner_elections;
-  }
-
-let to_assoc (s : snapshot) =
-  [
-    ("starts", s.starts);
-    ("commits", s.commits);
-    ("aborts", s.aborts);
-    ("conflicts", s.conflicts);
-    ("remote_aborts", s.remote_aborts);
-    ("lock_waits", s.lock_waits);
-    ("extensions", s.extensions);
-    ("killed_aborts", s.killed_aborts);
-    ("explicit_aborts", s.explicit_aborts);
-    ("fallbacks", s.fallbacks);
-    ("injected_faults", s.injected_faults);
-    ("timeouts", s.timeouts);
-    ("budget_exhausted", s.budget_exhausted);
-    ("shed", s.shed);
-    ("watchdog_kills", s.watchdog_kills);
-    ("degraded_transitions", s.degraded_transitions);
-    ("minor_words", s.minor_words);
-    ("log_appends", s.log_appends);
-    ("fsync_batches", s.fsync_batches);
-    ("fsync_batch_size_p50", s.fsync_batch_size_p50);
-    ("fsync_batch_size_p99", s.fsync_batch_size_p99);
-    ("recoveries", s.recoveries);
-    ("torn_tail_truncations", s.torn_tail_truncations);
-    ("parks", s.parks);
-    ("wakeups", s.wakeups);
-    ("spurious_wakeups", s.spurious_wakeups);
-    ("retry_polls", s.retry_polls);
-    ("wait_list_max", s.wait_list_max);
-    ("versions_installed", s.versions_installed);
-    ("versions_gced", s.versions_gced);
-    ("ro_snapshot_reads", s.ro_snapshot_reads);
-    ("ro_commits", s.ro_commits);
-    ("ro_aborts", s.ro_aborts);
-    ("version_chain_max", s.version_chain_max);
-    ("combined_commits", s.combined_commits);
-    ("combiner_elections", s.combiner_elections);
-  ]
-
-let pp fmt (s : snapshot) =
-  Format.fprintf fmt
-    "starts=%d commits=%d aborts=%d (conflict=%d killed=%d explicit=%d) \
-     remote=%d waits=%d ext=%d fallbacks=%d injected=%d timeouts=%d \
-     budget=%d shed=%d wd_kills=%d degraded=%d minor_words=%d \
-     log_appends=%d fsync_batches=%d fsync_p50=%d fsync_p99=%d \
-     recoveries=%d torn_tails=%d parks=%d wakeups=%d spurious=%d \
-     retry_polls=%d wait_list_max=%d versions=%d gced=%d ro_reads=%d \
-     ro_commits=%d ro_aborts=%d chain_max=%d combined=%d elections=%d"
-    s.starts s.commits s.aborts s.conflicts s.killed_aborts s.explicit_aborts
-    s.remote_aborts s.lock_waits s.extensions s.fallbacks s.injected_faults
-    s.timeouts s.budget_exhausted s.shed s.watchdog_kills
-    s.degraded_transitions s.minor_words s.log_appends s.fsync_batches
-    s.fsync_batch_size_p50 s.fsync_batch_size_p99 s.recoveries
-    s.torn_tail_truncations s.parks s.wakeups s.spurious_wakeups s.retry_polls
-    s.wait_list_max s.versions_installed s.versions_gced s.ro_snapshot_reads
-    s.ro_commits s.ro_aborts s.version_chain_max s.combined_commits
-    s.combiner_elections
+let pp fmt s =
+  let field (k, v) = k ^ "=" ^ string_of_int v in
+  Format.pp_print_string fmt (String.concat " " (List.map field (to_assoc s)))

@@ -32,9 +32,8 @@ type snapshot = {
   log_appends : int;  (** records appended to a durable redo log *)
   fsync_batches : int;  (** group-commit fsync batches flushed *)
   fsync_batch_size_p50 : int;
-      (** median records per fsync batch — a set-style gauge published
-          by the redo-log flusher, so [diff] carries the later reading
-          rather than a difference *)
+      (** median records per fsync batch — a gauge set by the redo-log
+          flusher, so [diff] carries the later reading *)
   fsync_batch_size_p99 : int;
       (** 99th-percentile records per fsync batch (gauge, like p50) *)
   recoveries : int;  (** redo-log recovery scans completed *)
@@ -51,9 +50,8 @@ type snapshot = {
       (** busy-poll iterations spent in the legacy [Poll] retry mode;
           ~0 under [Park], which is the point of parking *)
   wait_list_max : int;
-      (** longest per-tvar wait list observed — a high-water gauge
-          published by waiter registration, so [diff] carries the
-          later reading rather than a difference *)
+      (** longest per-tvar wait list observed — a high-water gauge, so
+          [diff] carries the later reading *)
   versions_installed : int;
       (** version-chain installs by [Multi_version] publishes (0 while
           the mode is unarmed) *)
@@ -143,7 +141,8 @@ val read : unit -> snapshot
 
 val reset : unit -> unit
 
-(** [diff a b] is the per-field difference [b - a]. *)
+(** [diff a b] is [b - a] for event counters and [b]'s reading for the
+    four gauges (fsync batch percentiles and the two high-water marks). *)
 val diff : snapshot -> snapshot -> snapshot
 
 (** Field-name/value pairs in declaration order — the single source of

@@ -3,7 +3,7 @@
 
      Rwset         log-structured read/write/local sets
      Txn_state     the pooled attempt record, audit, obs, chaos
-     Protocol      the four conflict-detection modes as data
+     Protocol      the five conflict-detection modes as data
      Commit_ladder commit/abort drivers + the escalation ladder
 
    — and this façade re-exports the stable [Stm] API on top: the

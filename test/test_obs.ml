@@ -1,7 +1,8 @@
 (* The observability layer: gate discipline, trace rings under
    multi-domain load, histogram bucket math and merge laws, the Chrome
-   exporter's output shape, metrics scopes, and the Stats.to_assoc
-   contract the bench JSON/CSV columns derive from. *)
+   exporter's output shape, metrics scopes and their JSON key order,
+   the Stats.to_assoc contract the bench JSON/CSV columns derive from,
+   and kind-dependent Stats.diff under concurrent updates. *)
 
 open Util
 module Obs = Proust_obs
@@ -262,7 +263,7 @@ let test_metrics_scopes () =
               check ci "reset_scope zeroes commits" 0
                 s.Obs.Metrics.commit.Obs.Histogram.count
           | None -> Alcotest.fail "reset_scope dropped the scope");
-          (* The JSON summary carries all three sections. *)
+          (* The JSON summary carries the histogram sections. *)
           let j = Obs.Metrics.scope_summary_to_json s in
           List.iter
             (fun k ->
@@ -287,47 +288,190 @@ let test_metrics_from_stm () =
 
 (* -- Stats.to_assoc contract ---------------------------------------- *)
 
+(* The exported key order is the JSON/CSV column order. *)
+let stats_keys =
+  [
+    "starts"; "commits"; "aborts"; "conflicts"; "remote_aborts";
+    "lock_waits"; "extensions"; "killed_aborts"; "explicit_aborts";
+    "fallbacks"; "injected_faults"; "timeouts"; "budget_exhausted";
+    "shed"; "watchdog_kills"; "degraded_transitions"; "minor_words";
+    "log_appends"; "fsync_batches"; "fsync_batch_size_p50";
+    "fsync_batch_size_p99"; "recoveries"; "torn_tail_truncations";
+    "parks"; "wakeups"; "spurious_wakeups"; "retry_polls";
+    "wait_list_max"; "versions_installed"; "versions_gced";
+    "ro_snapshot_reads"; "ro_commits"; "ro_aborts"; "version_chain_max";
+    "combined_commits"; "combiner_elections";
+  ]
+
+(* Set-style gauges (the fsync batch-size percentiles) and high-water
+   gauges (wait_list_max, version_chain_max): [diff] carries the later
+   reading.  Every other key is an event counter and subtracts. *)
+let is_gauge k =
+  List.mem k
+    [ "fsync_batch_size_p50"; "fsync_batch_size_p99"; "wait_list_max";
+      "version_chain_max" ]
+
+let check_diff_by_kind a b =
+  let d = Stats.to_assoc (Stats.diff a b) in
+  List.iter2
+    (fun (ka, va) ((kb, vb), (kd, vd)) ->
+      check cs "same key order" ka kb;
+      check cs "same key order in diff" ka kd;
+      check ci ("diff of " ^ ka) (if is_gauge ka then vb else vb - va) vd)
+    (Stats.to_assoc a)
+    (List.combine (Stats.to_assoc b) d);
+  d
+
 let test_stats_to_assoc () =
-  let s = Stats.read () in
-  let assoc = Stats.to_assoc s in
-  check ci "36 counters exported" 36 (List.length assoc);
-  List.iter
-    (fun k ->
-      check cb ("counter " ^ k ^ " present") true (List.mem_assoc k assoc))
-    [
-      "starts"; "commits"; "aborts"; "conflicts"; "remote_aborts";
-      "lock_waits"; "extensions"; "killed_aborts"; "explicit_aborts";
-      "fallbacks"; "injected_faults"; "timeouts"; "budget_exhausted";
-      "shed"; "watchdog_kills"; "degraded_transitions"; "minor_words";
-      "log_appends"; "fsync_batches"; "fsync_batch_size_p50";
-      "fsync_batch_size_p99"; "recoveries"; "torn_tail_truncations";
-      "parks"; "wakeups"; "spurious_wakeups"; "retry_polls";
-      "wait_list_max"; "versions_installed"; "versions_gced";
-      "ro_snapshot_reads"; "ro_commits"; "ro_aborts"; "version_chain_max";
-      "combined_commits"; "combiner_elections";
-    ];
-  (* diff and to_assoc commute: to_assoc (diff a b) is the pairwise
-     difference of the exports. *)
+  check (Alcotest.list cs) "to_assoc keys, in order" stats_keys
+    (List.map fst (Stats.to_assoc (Stats.read ())));
   let a = Stats.read () in
   let r = Tvar.make 0 in
   Stm.atomically (fun txn -> Stm.write txn r 1);
-  let b = Stats.read () in
-  let d = Stats.to_assoc (Stats.diff a b) in
-  let gauge k =
-    k = "fsync_batch_size_p50" || k = "fsync_batch_size_p99"
-    || k = "wait_list_max" || k = "version_chain_max"
-  in
-  List.iter2
-    (fun (ka, va) ((kb, vb), _) ->
-      check cs "same key order" ka kb;
-      (* counters subtract; the fsync-batch-size gauges carry the later
-         snapshot's value *)
-      check ci ("diff of " ^ ka)
-        (if gauge ka then vb else vb - va)
-        (List.assoc ka d))
-    (Stats.to_assoc a)
-    (List.combine (Stats.to_assoc b) d);
+  let d = check_diff_by_kind a (Stats.read ()) in
   check cb "the txn committed" true (List.assoc "commits" d >= 1)
+
+let test_metrics_json_keys () =
+  with_obs_off (fun () ->
+      Obs.Metrics.enable ();
+      Obs.Metrics.reset ();
+      Obs.Metrics.set_label "json-keys";
+      (* Histogram i of the JSON order gets i + 1 samples, so a key
+         bound to the wrong histogram shows as a wrong count. *)
+      Obs.Metrics.on_attempt_start ();
+      Obs.Metrics.on_commit ();
+      for _ = 1 to 2 do
+        Obs.Metrics.on_abort ();
+        Obs.Metrics.on_attempt_start ()
+      done;
+      let times n f = for _ = 1 to n do f () done in
+      times 3 (fun () -> Obs.Metrics.add_lock_wait 100);
+      times 4 (fun () -> Obs.Metrics.add_wakeup_latency 100);
+      times 5 (fun () -> Obs.Metrics.add_combiner_batch 3);
+      times 6 (fun () -> Obs.Metrics.add_intended_latency 100);
+      times 7 (fun () -> Obs.Metrics.add_service_latency 100);
+      (* Below-floor samples are dropped. *)
+      Obs.Metrics.add_wakeup_latency (-1);
+      Obs.Metrics.add_combiner_batch 0;
+      Obs.Metrics.add_intended_latency (-1);
+      Obs.Metrics.add_service_latency (-1);
+      Obs.Metrics.set_label "main";
+      let hists =
+        [ "commit"; "abort_to_retry"; "lock_wait"; "wakeup"; "combine_batch";
+          "intended"; "service" ]
+      in
+      match Obs.Metrics.read_scope "json-keys" with
+      | None -> Alcotest.fail "json-keys scope not registered"
+      | Some s -> (
+          match Obs.Metrics.scope_summary_to_json s with
+          | Obs.Json.Obj fields ->
+              check (Alcotest.list cs) "summary keys, in order"
+                ("label" :: hists) (List.map fst fields);
+              List.iteri
+                (fun i k ->
+                  check ci (k ^ " count") (i + 1)
+                    (match Obs.Json.member "count" (List.assoc k fields) with
+                    | Some (Obs.Json.Int n) -> n
+                    | _ -> -1))
+                hists
+          | _ -> Alcotest.fail "summary is not a JSON object"))
+
+(* Kind-dependent [diff] under concurrent updates: two domains apply
+   random sequences of every counter recorder, the bulk adds (with
+   non-positive amounts, which are no-ops), the high-water notes and
+   the fsync percentile setter between two [read]s. *)
+let recorders =
+  Stats.
+    [
+      ("starts", record_start); ("commits", record_commit);
+      ("aborts", record_abort); ("conflicts", record_conflict);
+      ("remote_aborts", record_remote_abort);
+      ("lock_waits", record_lock_wait); ("extensions", record_extension);
+      ("killed_aborts", record_killed_abort);
+      ("explicit_aborts", record_explicit_abort);
+      ("fallbacks", record_fallback);
+      ("injected_faults", record_injected_fault);
+      ("timeouts", record_timeout);
+      ("budget_exhausted", record_budget_exhausted); ("shed", record_shed);
+      ("watchdog_kills", record_watchdog_kill);
+      ("degraded_transitions", record_degraded_transition);
+      ("log_appends", record_log_append);
+      ("fsync_batches", record_fsync_batch); ("recoveries", record_recovery);
+      ("torn_tail_truncations", record_torn_tail_truncation);
+      ("parks", record_park); ("wakeups", record_wakeup);
+      ("spurious_wakeups", record_spurious_wakeup);
+      ("retry_polls", record_retry_poll);
+      ("versions_installed", record_version_install);
+      ("ro_snapshot_reads", record_ro_snapshot_read);
+      ("ro_commits", record_ro_commit); ("ro_aborts", record_ro_abort);
+      ("combiner_elections", record_combiner_election);
+    ]
+
+let adders =
+  Stats.
+    [
+      ("minor_words", add_minor_words);
+      ("combined_commits", add_combined_commits);
+      ("versions_gced", add_versions_gced);
+      ("ro_snapshot_reads", add_ro_snapshot_reads);
+    ]
+
+type stats_op =
+  | Bump of int
+  | Add of int * int
+  | Note_wait of int
+  | Note_chain of int
+  | Fsync of int * int
+
+let gen_stats_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun i -> Bump i) (int_bound (List.length recorders - 1)));
+        ( 3,
+          map2
+            (fun i n -> Add (i, n))
+            (int_bound (List.length adders - 1))
+            (int_range (-3) 1000) );
+        (1, map (fun n -> Note_wait n) (int_bound 1000));
+        (1, map (fun n -> Note_chain n) (int_bound 1000));
+        ( 1,
+          map2 (fun p50 p99 -> Fsync (p50, p99)) (int_bound 64) (int_bound 64)
+        );
+      ])
+
+let apply_stats_op = function
+  | Bump i -> snd (List.nth recorders i) ()
+  | Add (i, n) -> snd (List.nth adders i) n
+  | Note_wait n -> Stats.note_wait_list_len n
+  | Note_chain n -> Stats.note_version_chain_len n
+  | Fsync (p50, p99) -> Stats.set_fsync_batch_percentiles ~p50 ~p99
+
+let prop_stats_diff (ops0, ops1) =
+  let a = Stats.read () in
+  let per_domain = [| ops0; ops1 |] in
+  spawn_all 2 (fun d -> List.iter apply_stats_op per_domain.(d));
+  let b = Stats.read () in
+  let d = check_diff_by_kind a b in
+  let totals = Hashtbl.create 16 and high_water = Hashtbl.create 2 in
+  let update tbl k f =
+    Hashtbl.replace tbl k (f (Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+  in
+  List.iter
+    (function
+      | Bump i -> update totals (fst (List.nth recorders i)) succ
+      | Add (i, n) -> update totals (fst (List.nth adders i)) (( + ) (max n 0))
+      | Note_wait n -> update high_water "wait_list_max" (max n)
+      | Note_chain n -> update high_water "version_chain_max" (max n)
+      | Fsync _ -> ())
+    (ops0 @ ops1);
+  Hashtbl.iter
+    (fun k n -> check ci ("exact total of " ^ k) n (List.assoc k d))
+    totals;
+  Hashtbl.iter
+    (fun k n -> check cb ("high-water " ^ k) true (List.assoc k d >= n))
+    high_water;
+  true
 
 let suite =
   [
@@ -353,4 +497,9 @@ let suite =
     test "metrics scopes and reset" test_metrics_scopes;
     test "stm commits land in the active scope" test_metrics_from_stm;
     test "Stats.to_assoc contract" test_stats_to_assoc;
+    test "metrics summary JSON keys and order" test_metrics_json_keys;
+    qcheck ~count:50 "Stats.diff by kind under 2-domain updates"
+      QCheck2.Gen.(pair (list_size (int_bound 200) gen_stats_op)
+        (list_size (int_bound 200) gen_stats_op))
+      prop_stats_diff;
   ]
