@@ -826,7 +826,7 @@ let overload () =
                   ("timed_out", Obs.Json.Int (sum timed_out));
                   ("budget_exhausted", Obs.Json.Int (sum budget));
                   ( "qos_state",
-                    Obs.Json.String (Qos.Hysteresis.state_name (Qos.Shedder.state ())) );
+                    Obs.Json.String (Qos.Shedder.state_name (Qos.Shedder.state ())) );
                   ( "stats",
                     Obs.Json.Obj
                       (List.map
@@ -1368,9 +1368,9 @@ let opensystem () =
                  alpha = 0.35;
                  ladder =
                    {
-                     Qos.Brownout.Ladder.default_config with
+                     Qos.Brownout.default_config.ladder with
                      dwell = 1;
-                     max_level = Qos.Brownout.Shed_bronze;
+                     max_level = Qos.Brownout.(level_index Shed_bronze);
                    };
                }
              ())
@@ -1417,9 +1417,9 @@ let opensystem () =
                 capacity
                 (r.W.Open_runner.o_offered /. capacity)
                 (float_of_int gp999 /. 1e6)
-                g.W.Open_runner.tr_stats.Qos.Tenant.s_shed
+                Qos.Tenant.(count g.W.Open_runner.tr_stats shed)
                 g.W.Open_runner.tr_goodput
-                b.W.Open_runner.tr_stats.Qos.Tenant.s_shed
+                Qos.Tenant.(count b.W.Open_runner.tr_stats shed)
                 (match r.W.Open_runner.o_brownout_peak with
                 | Some l -> Qos.Brownout.level_name l
                 | None -> "-");
@@ -1453,8 +1453,8 @@ let opensystem () =
   | Some on, Some off ->
       let g_on = gold_of on and g_off = gold_of off in
       let on_p999 = p999_intended g_on and off_p999 = p999_intended g_off in
-      let on_sheds = g_on.W.Open_runner.tr_stats.Qos.Tenant.s_shed in
-      let off_sheds = g_off.W.Open_runner.tr_stats.Qos.Tenant.s_shed in
+      let on_sheds = Qos.Tenant.(count g_on.W.Open_runner.tr_stats shed) in
+      let off_sheds = Qos.Tenant.(count g_off.W.Open_runner.tr_stats shed) in
       let on_ok = on_p999 <= bound_ns && on_sheds = 0 in
       let off_violates = off_p999 > bound_ns || off_sheds > 0 in
       let pass = on_ok && off_violates in

@@ -1,45 +1,146 @@
-(* Transaction quality-of-service: overload shedding and the
+(* Transaction quality-of-service: admission control and the
    stuck-transaction watchdog.
 
    Deadlines and retry budgets live in the attempt machinery itself
    (Txn_desc carries the deadline; Commit_ladder enforces both at
-   attempt boundaries); this module holds the two control loops that
-   sit *outside* any one transaction:
+   attempt boundaries); this module holds the control loops that sit
+   *outside* any one transaction.  The admission controllers —
+   [Shedder] (process-wide abort rate), [Tenant] (per-tenant bucket and
+   EWMAs) and [Brownout] (class-aware degradation by admission lag) —
+   share one pure [Ladder], one EWMA update, one token [Bucket] and one
+   sampled controller, [Loop].  [Watchdog] kills attempts stuck far
+   past the observed p99 commit latency.
 
-   - [Shedder]: an admission controller that watches the process-wide
-     abort rate and, when the system is thrashing, turns new optional
-     work away at the door instead of letting it pile onto the
-     contention that is causing the thrashing;
-   - [Watchdog]: a supervisor that scans the per-domain watch slots
-     ({!Txn_state.watch_list}) for attempts that have been running far
-     longer than the observed p99 commit latency and kills them through
-     the ordinary remote-kill path, escalating to breaking the serial
-     commit gate when the gate holder itself is the stuck party.
-
-   Both are off by default and their disabled fast paths are single
-   atomic loads, per the repo-wide observability budget. *)
+   The shedder and the watchdog are off by default; the shedder's
+   disabled fast path is a single atomic load, per the repo-wide
+   observability budget. *)
 
 (* ------------------------------------------------------------------ *)
-(* Hysteresis                                                           *)
+(* Control parts                                                        *)
 
-(* The admission state machine, kept pure (no clocks, no atomics) so
-   qcheck can drive it through arbitrary rate sequences and assert the
-   no-flapping property directly. *)
-module Hysteresis = struct
-  type state = Normal | Degraded
+(* The escalation state machine, kept pure (no clocks, no atomics) so
+   qcheck can drive it through arbitrary pressure sequences.  Pressure
+   above [enter_above] for [dwell] consecutive samples climbs one level,
+   below [exit_below] for [dwell] samples descends one level, and the
+   dead band between them holds — so recovery is stable and the level
+   never jumps.  At [dwell = 1] and [max_level = 1] this is a plain
+   two-state hysteresis: the shedder's Normal/Degraded machine. *)
+module Ladder = struct
+  type config = {
+    enter_above : float;  (* pressure climbing one level *)
+    exit_below : float;  (* pressure descending one level *)
+    dwell : int;  (* consecutive samples before a move *)
+    max_level : int;  (* escalation ceiling *)
+  }
 
-  let state_name = function Normal -> "normal" | Degraded -> "degraded"
+  type t = { level : int; up_streak : int; down_streak : int }
 
-  (* [step] returns the successor state and whether a transition
-     happened.  The two thresholds deliberately straddle a dead band
-     ([recover_below < degrade_above]): a rate wandering inside the
-     band never flips the state, which is the anti-flapping property
-     the qcheck suite pins down. *)
-  let step ~degrade_above ~recover_below state rate =
-    match state with
-    | Normal -> if rate > degrade_above then (Degraded, true) else (Normal, false)
-    | Degraded ->
-        if rate < recover_below then (Normal, true) else (Degraded, false)
+  let initial = { level = 0; up_streak = 0; down_streak = 0 }
+
+  (* One pressure observation.  Streaks reset whenever the sample
+     falls outside their side of the band, so [dwell] means [dwell]
+     *consecutive* samples — a flapping signal never moves the
+     ladder.  Returns the successor and whether the level changed. *)
+  let step cfg st ~pressure =
+    let move by =
+      ({ level = st.level + by; up_streak = 0; down_streak = 0 }, true)
+    in
+    if pressure > cfg.enter_above then
+      if st.up_streak + 1 >= cfg.dwell && st.level < cfg.max_level then move 1
+      else ({ st with up_streak = st.up_streak + 1; down_streak = 0 }, false)
+    else if pressure < cfg.exit_below then
+      if st.down_streak + 1 >= cfg.dwell && st.level > 0 then move (-1)
+      else ({ st with down_streak = st.down_streak + 1; up_streak = 0 }, false)
+    else ({ st with up_streak = 0; down_streak = 0 }, false)
+end
+
+(* The EWMA update every controller uses; the first sample seeds it. *)
+let ewma ~alpha ~have prev x =
+  if have then (alpha *. x) +. ((1.0 -. alpha) *. prev) else x
+
+(* Refill-and-take token bucket: a shaped trickle of admissions. *)
+module Bucket = struct
+  type t = {
+    mu : Mutex.t;
+    capacity : float;
+    rate : float;  (* tokens per second *)
+    mutable tokens : float;
+    mutable last_ns : int;
+  }
+
+  let make ~capacity ~rate =
+    let last_ns = Clock.now_mono_ns () in
+    { mu = Mutex.create (); capacity; rate; tokens = capacity; last_ns }
+
+  let take b =
+    Mutex.lock b.mu;
+    let now = Clock.now_mono_ns () in
+    let dt = float_of_int (now - b.last_ns) *. 1e-9 in
+    b.last_ns <- now;
+    b.tokens <- Float.min b.capacity (b.tokens +. (Float.max 0.0 dt *. b.rate));
+    let ok = b.tokens >= 1.0 in
+    if ok then b.tokens <- b.tokens -. 1.0;
+    Mutex.unlock b.mu;
+    ok
+end
+
+(* One sampled controller: an EWMA of observations, a [Ladder] stepped
+   on that EWMA at most once per window, and the ladder's level
+   mirrored into an atomic so admission fast paths never take [mu]. *)
+module Loop = struct
+  type t = {
+    ladder_cfg : Ladder.config;
+    alpha : float;
+    window_ns : int;
+    mu : Mutex.t;
+    mutable ewma : float;
+    mutable have : bool;
+    mutable ladder : Ladder.t;
+    mutable transitions : int;
+    mutable peak : int;
+    next_ns : int Atomic.t;
+    level : int Atomic.t;
+  }
+
+  (* [defer] makes the first window start now instead of letting the
+     first [due] fire immediately. *)
+  let make ?(defer = false) ladder_cfg ~alpha ~window =
+    let window_ns = int_of_float (window *. 1e9) in
+    let first_ns = if defer then Clock.now_mono_ns () + window_ns else 0 in
+    { ladder_cfg; alpha; window_ns; mu = Mutex.create (); ewma = 0.0;
+      have = false; ladder = Ladder.initial; transitions = 0; peak = 0;
+      next_ns = Atomic.make first_ns; level = Atomic.make 0 }
+
+  let level t = Atomic.get t.level
+  let value t = if t.have then Some t.ewma else None
+
+  (* The time gate: true for exactly one caller per window, claimed by
+     CAS so one domain pays for each window's bookkeeping. *)
+  let due t =
+    let due = Atomic.get t.next_ns in
+    let now = Clock.now_mono_ns () in
+    now >= due && Atomic.compare_and_set t.next_ns due (now + t.window_ns)
+
+  (* Fold one observation into the EWMA; [replace] overwrites it
+     instead (the test hooks' "straight into the ladder"). *)
+  let observe ?(replace = false) t x =
+    Mutex.lock t.mu;
+    t.ewma <- ewma ~alpha:t.alpha ~have:(t.have && not replace) t.ewma x;
+    t.have <- true;
+    Mutex.unlock t.mu
+
+  (* Step the ladder on the current EWMA; true when the level moved. *)
+  let step t =
+    Mutex.lock t.mu;
+    let st, changed = Ladder.step t.ladder_cfg t.ladder ~pressure:t.ewma in
+    t.ladder <- st;
+    if changed then begin
+      Atomic.set t.level st.Ladder.level;
+      t.transitions <- t.transitions + 1;
+      t.peak <- max t.peak st.Ladder.level
+    end;
+    Mutex.unlock t.mu;
+    changed
 end
 
 (* ------------------------------------------------------------------ *)
@@ -70,137 +171,83 @@ module Shedder = struct
       refill_per_s = 2000.0;
     }
 
-  (* Fast-path state: both words are read on every [admit] while
-     enabled, written only on control-plane transitions. *)
-  let on = Atomic.make false
-  let degraded = Atomic.make false
+  type state = Normal | Degraded
 
-  (* Time gate for sampling: the next [Clock.now_mono_ns] at which some
-     admitting domain should take a sample.  Claimed by CAS so exactly
-     one domain pays for each window's bookkeeping. *)
-  let next_sample_ns = Atomic.make 0
+  let state_name = function Normal -> "normal" | Degraded -> "degraded"
 
-  (* Control block, mutated only under [lock] by the domain that won
-     the sample CAS (or by tests via [inject_sample]). *)
-  type ctl = {
-    mutable cfg : config;
-    mutable ewma : float;
-    mutable have_ewma : bool;
-    mutable last : Stats.snapshot;
-    mutable state : Hysteresis.state;
-    mutable tokens : float;
-    mutable last_refill_ns : int;
+  (* One enabled episode of the shedder.  The bucket is consulted only
+     while Degraded: a shaped trickle keeps the system making progress
+     (and producing rate samples to recover with) instead of slamming
+     shut. *)
+  type inst = {
+    cfg : config;
+    loop : Loop.t;
+    bucket : Bucket.t;
+    last : Stats.snapshot Atomic.t;
   }
 
-  let lock = Mutex.create ()
+  (* [None] while disabled: [admit]'s whole fast path is this load. *)
+  let cur : inst option Atomic.t = Atomic.make None
 
-  let ctl =
-    {
-      cfg = default_config;
-      ewma = 0.0;
-      have_ewma = false;
-      last = Stats.read ();
-      state = Hysteresis.Normal;
-      tokens = default_config.bucket_capacity;
-      last_refill_ns = 0;
-    }
-
-  let publish_gauges () =
-    Proust_obs.Metrics.set_gauge "qos_state"
-      (match ctl.state with Hysteresis.Normal -> 0 | Hysteresis.Degraded -> 1);
+  let publish_gauges s =
+    Proust_obs.Metrics.set_gauge "qos_state" (Loop.level s.loop);
     Proust_obs.Metrics.set_gauge "qos_abort_ewma_bp"
-      (int_of_float (ctl.ewma *. 10_000.0))
+      (int_of_float (s.loop.Loop.ewma *. 10_000.0))
 
-  (* Apply one abort-rate observation to the EWMA and the hysteresis
-     machine; caller holds [lock]. *)
-  let apply_rate rate =
-    ctl.ewma <-
-      (if ctl.have_ewma then
-         (ctl.cfg.alpha *. rate) +. ((1.0 -. ctl.cfg.alpha) *. ctl.ewma)
-       else rate);
-    ctl.have_ewma <- true;
-    let state', transitioned =
-      Hysteresis.step ~degrade_above:ctl.cfg.degrade_above
-        ~recover_below:ctl.cfg.recover_below ctl.state ctl.ewma
-    in
-    if transitioned then begin
-      ctl.state <- state';
-      Atomic.set degraded (state' = Hysteresis.Degraded);
-      Stats.record_degraded_transition ()
-    end;
-    publish_gauges ()
+  let apply_rate s rate =
+    Loop.observe s.loop rate;
+    if Loop.step s.loop then Stats.record_degraded_transition ();
+    publish_gauges s
 
-  let sample_now () =
-    Mutex.lock lock;
+  let sample s =
     let now = Stats.read () in
-    let w = Stats.diff ctl.last now in
-    ctl.last <- now;
-    if w.Stats.starts >= ctl.cfg.min_window_attempts then
-      apply_rate (float_of_int w.Stats.aborts /. float_of_int w.Stats.starts);
-    Mutex.unlock lock
-
-  let maybe_sample () =
-    let due = Atomic.get next_sample_ns in
-    let now = Clock.now_mono_ns () in
-    if
-      now >= due
-      && Atomic.compare_and_set next_sample_ns due
-           (now + int_of_float (ctl.cfg.sample_window *. 1e9))
-    then sample_now ()
-
-  (* Token bucket, consulted only while Degraded: shaped trickle of
-     admissions so the system keeps making progress (and keeps
-     producing rate samples to recover with) instead of slamming shut. *)
-  let take_token () =
-    Mutex.lock lock;
-    let now = Clock.now_mono_ns () in
-    let dt = float_of_int (now - ctl.last_refill_ns) *. 1e-9 in
-    ctl.last_refill_ns <- now;
-    ctl.tokens <-
-      Float.min ctl.cfg.bucket_capacity
-        (ctl.tokens +. (Float.max 0.0 dt *. ctl.cfg.refill_per_s));
-    let ok = ctl.tokens >= 1.0 in
-    if ok then ctl.tokens <- ctl.tokens -. 1.0;
-    Mutex.unlock lock;
-    ok
+    let w = Stats.diff (Atomic.exchange s.last now) now in
+    if w.Stats.starts >= s.cfg.min_window_attempts then
+      apply_rate s (float_of_int w.Stats.aborts /. float_of_int w.Stats.starts)
 
   let admit () =
-    if not (Atomic.get on) then true
-    else begin
-      maybe_sample ();
-      if not (Atomic.get degraded) then true else take_token ()
-    end
+    match Atomic.get cur with
+    | None -> true
+    | Some s ->
+        if Loop.due s.loop then sample s;
+        Loop.level s.loop = 0 || Bucket.take s.bucket
 
   let enable ?(config = default_config) () =
-    Mutex.lock lock;
-    ctl.cfg <- config;
-    ctl.ewma <- 0.0;
-    ctl.have_ewma <- false;
-    ctl.last <- Stats.read ();
-    ctl.state <- Hysteresis.Normal;
-    ctl.tokens <- config.bucket_capacity;
-    ctl.last_refill_ns <- Clock.now_mono_ns ();
-    Atomic.set degraded false;
-    publish_gauges ();
-    Mutex.unlock lock;
-    Atomic.set next_sample_ns
-      (Clock.now_mono_ns () + int_of_float (config.sample_window *. 1e9));
-    Atomic.set on true
+    (* Normal/Degraded: the two-level, dwell-1 ladder. *)
+    let ladder =
+      { Ladder.enter_above = config.degrade_above;
+        exit_below = config.recover_below; dwell = 1; max_level = 1 }
+    in
+    let s =
+      {
+        cfg = config;
+        loop =
+          Loop.make ~defer:true ladder ~alpha:config.alpha
+            ~window:config.sample_window;
+        bucket =
+          Bucket.make ~capacity:config.bucket_capacity
+            ~rate:config.refill_per_s;
+        last = Atomic.make (Stats.read ());
+      }
+    in
+    publish_gauges s;
+    Atomic.set cur (Some s)
 
-  let disable () =
-    Atomic.set on false;
-    Atomic.set degraded false
+  let disable () = Atomic.set cur None
+  let enabled () = Option.is_some (Atomic.get cur)
 
-  let enabled () = Atomic.get on
-  let state () = ctl.state
-  let abort_ewma () = if ctl.have_ewma then Some ctl.ewma else None
+  let state () =
+    match Atomic.get cur with
+    | Some s when Loop.level s.loop > 0 -> Degraded
+    | _ -> Normal
 
-  (* Test hook: feed one observation straight into the EWMA/hysteresis
+  let abort_ewma () =
+    Option.bind (Atomic.get cur) (fun s -> Loop.value s.loop)
+
+  (* Test hook: feed one observation straight into the EWMA/ladder
      without waiting for a real Stats window. *)
   let inject_sample rate =
-    Mutex.lock lock;
-    apply_rate rate;
-    Mutex.unlock lock
+    Option.iter (fun s -> apply_rate s rate) (Atomic.get cur)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -230,28 +277,35 @@ module Tenant = struct
   let default_config =
     { rate = 0.0; burst = 32.0; alpha = 0.05; read_dominated_above = 0.75 }
 
-  (* Monotonically increasing event counters, one cell each: tenants
-     are few and their counters are bumped once per request, so the
-     16-way striping Stats uses would be overkill here. *)
-  type counters = {
-    arrivals : int Atomic.t;
-    admitted : int Atomic.t;
-    committed : int Atomic.t;
-    shed : int Atomic.t;
-    timed_out : int Atomic.t;
-    budget_exhausted : int Atomic.t;
-    ro_routed : int Atomic.t;
-    aborts : int Atomic.t;
-  }
+  (* The counter table.  Rows are declared in JSON key order; each
+     row's value is its index into [t.counts].  One unstriped cell per
+     counter: tenants are few and bump each counter once per request,
+     so the 16-way striping Stats uses would be overkill here. *)
+  type counter = int
+
+  let rows = ref []
+
+  let row name =
+    rows := name :: !rows;
+    List.length !rows - 1
+
+  let arrivals = row "arrivals"
+  let admitted = row "admitted"
+  let committed = row "committed"
+  let shed = row "shed"
+  let timed_out = row "timed_out"
+  let budget_exhausted = row "budget_exhausted"
+  let ro_routed = row "ro_routed"
+  let aborts = row "aborts"
+  let names = Array.of_list (List.rev !rows)
 
   type t = {
     name : string;
     klass : klass;
     cfg : config;
-    c : counters;
+    counts : int Atomic.t array;
+    bucket : Bucket.t;
     mu : Mutex.t;
-    mutable tokens : float;
-    mutable last_refill_ns : int;
     mutable abort_ewma : float;
     mutable read_ewma : float;
     mutable have_sample : bool;
@@ -262,20 +316,9 @@ module Tenant = struct
       name;
       klass;
       cfg = config;
-      c =
-        {
-          arrivals = Atomic.make 0;
-          admitted = Atomic.make 0;
-          committed = Atomic.make 0;
-          shed = Atomic.make 0;
-          timed_out = Atomic.make 0;
-          budget_exhausted = Atomic.make 0;
-          ro_routed = Atomic.make 0;
-          aborts = Atomic.make 0;
-        };
+      counts = Array.init (Array.length names) (fun _ -> Atomic.make 0);
+      bucket = Bucket.make ~capacity:config.burst ~rate:config.rate;
       mu = Mutex.create ();
-      tokens = config.burst;
-      last_refill_ns = Clock.now_mono_ns ();
       abort_ewma = 0.0;
       read_ewma = 0.0;
       have_sample = false;
@@ -283,30 +326,16 @@ module Tenant = struct
 
   let name t = t.name
   let klass t = t.klass
+  let bump t c = Atomic.incr t.counts.(c)
 
   (* Token-bucket admission; one call per arriving request.  A refusal
      is the caller's cue to count a shed — the bucket itself stays
      outcome-agnostic. *)
   let admit t =
-    Atomic.incr t.c.arrivals;
-    if t.cfg.rate <= 0.0 then begin
-      Atomic.incr t.c.admitted;
-      true
-    end
-    else begin
-      Mutex.lock t.mu;
-      let now = Clock.now_mono_ns () in
-      let dt = float_of_int (now - t.last_refill_ns) *. 1e-9 in
-      t.last_refill_ns <- now;
-      t.tokens <-
-        Float.min t.cfg.burst
-          (t.tokens +. (Float.max 0.0 dt *. t.cfg.rate));
-      let ok = t.tokens >= 1.0 in
-      if ok then t.tokens <- t.tokens -. 1.0;
-      Mutex.unlock t.mu;
-      if ok then Atomic.incr t.c.admitted;
-      ok
-    end
+    bump t arrivals;
+    let ok = t.cfg.rate <= 0.0 || Bucket.take t.bucket in
+    if ok then bump t admitted;
+    ok
 
   (* One finished episode's observations: the abort-rate sample is the
      episode's wasted-attempt share (a clean first-attempt commit is
@@ -314,42 +343,29 @@ module Tenant = struct
      waste), the read-mix sample is 1.0 for a pure-read episode. *)
   type outcome_kind = Committed | Shed | Timed_out | Budget_exhausted
 
-  let ewma_update t ~abort_sample ~read_sample =
+  let observe t ~read abort_sample =
     Mutex.lock t.mu;
-    if t.have_sample then begin
-      t.abort_ewma <-
-        (t.cfg.alpha *. abort_sample)
-        +. ((1.0 -. t.cfg.alpha) *. t.abort_ewma);
-      t.read_ewma <-
-        (t.cfg.alpha *. read_sample) +. ((1.0 -. t.cfg.alpha) *. t.read_ewma)
-    end
-    else begin
-      t.abort_ewma <- abort_sample;
-      t.read_ewma <- read_sample;
-      t.have_sample <- true
-    end;
+    let alpha = t.cfg.alpha and have = t.have_sample in
+    t.abort_ewma <- ewma ~alpha ~have t.abort_ewma abort_sample;
+    t.read_ewma <- ewma ~alpha ~have t.read_ewma (if read then 1.0 else 0.0);
+    t.have_sample <- true;
     Mutex.unlock t.mu
 
-  let note_outcome t kind ~read ~aborts =
-    if aborts > 0 then ignore (Atomic.fetch_and_add t.c.aborts aborts);
-    let read_sample = if read then 1.0 else 0.0 in
+  let note_outcome t kind ~read ~aborts:n =
+    if n > 0 then ignore (Atomic.fetch_and_add t.counts.(aborts) n);
     match kind with
     | Committed ->
-        Atomic.incr t.c.committed;
-        ewma_update t
-          ~abort_sample:
-            (float_of_int aborts /. float_of_int (aborts + 1))
-          ~read_sample
-    | Shed -> Atomic.incr t.c.shed
+        bump t committed;
+        observe t ~read (float_of_int n /. float_of_int (n + 1))
+    | Shed -> bump t shed
     | Timed_out ->
-        Atomic.incr t.c.timed_out;
-        ewma_update t ~abort_sample:1.0 ~read_sample
+        bump t timed_out;
+        observe t ~read 1.0
     | Budget_exhausted ->
-        Atomic.incr t.c.budget_exhausted;
-        ewma_update t ~abort_sample:1.0 ~read_sample
+        bump t budget_exhausted;
+        observe t ~read 1.0
 
-  let note_ro_routed t = Atomic.incr t.c.ro_routed
-
+  let note_ro_routed t = bump t ro_routed
   let abort_ewma t = if t.have_sample then Some t.abort_ewma else None
   let read_fraction t = if t.have_sample then Some t.read_ewma else None
 
@@ -357,61 +373,38 @@ module Tenant = struct
     t.have_sample && t.read_ewma >= t.cfg.read_dominated_above
 
   type stats = {
-    s_arrivals : int;
-    s_admitted : int;
-    s_committed : int;
-    s_shed : int;
-    s_timed_out : int;
-    s_budget_exhausted : int;
-    s_ro_routed : int;
-    s_aborts : int;
+    s_counts : int array;
     s_abort_ewma : float;
     s_read_fraction : float;
   }
 
   let stats t =
     {
-      s_arrivals = Atomic.get t.c.arrivals;
-      s_admitted = Atomic.get t.c.admitted;
-      s_committed = Atomic.get t.c.committed;
-      s_shed = Atomic.get t.c.shed;
-      s_timed_out = Atomic.get t.c.timed_out;
-      s_budget_exhausted = Atomic.get t.c.budget_exhausted;
-      s_ro_routed = Atomic.get t.c.ro_routed;
-      s_aborts = Atomic.get t.c.aborts;
+      s_counts = Array.map Atomic.get t.counts;
       s_abort_ewma = t.abort_ewma;
       s_read_fraction = t.read_ewma;
     }
+
+  let count s c = s.s_counts.(c)
+  let to_assoc s = List.combine (Array.to_list names) (Array.to_list s.s_counts)
 end
 
 (* ------------------------------------------------------------------ *)
 (* The brownout controller                                              *)
 
-(* Stepwise graceful degradation under sustained overload.  The ladder
-   is a pure state machine (qcheck drives it like Hysteresis): pressure
-   above [enter_above] for [dwell] consecutive samples climbs one
-   level, below [exit_below] for [dwell] samples descends one level,
-   and the dead band between them holds — so recovery is stable and
-   the system never jumps levels.
+(* Stepwise graceful degradation under sustained overload: a [Loop]
+   over the four levels below.  [Route_ro] sends read-dominated
+   tenants' pure-read requests onto the abort-free [Stm.read_only]
+   MVCC path, so they stop competing for write locks at zero shed
+   cost; [Shed_bronze] turns bronze away and keeps gold's full
+   service; [Shed_gold] turns everyone away.  Deployments that treat
+   gold admission as contractual cap [max_level] at [Shed_bronze] (the
+   opensystem bench does): "shed bronze before gold, never gold".
 
-   The levels, in escalation order:
-
-   - [Normal]: no interference;
-   - [Route_ro]: read-dominated tenants' pure-read requests are routed
-     onto the abort-free [Stm.read_only] MVCC path — they stop
-     competing for write locks entirely, at zero shed cost;
-   - [Shed_bronze]: bronze tenants are turned away at the door; gold
-     keeps its full service (and its RO routing);
-   - [Shed_gold]: everything is turned away — the last-resort level.
-     Deployments that treat gold admission as contractual cap the
-     ladder at [Shed_bronze] via [max_level] (the opensystem bench
-     does), which is exactly "shed bronze before gold, never gold".
-
-   Pressure is fed by the open runner as admission lag — how far
-   behind its *intended* arrival time a request started — normalized
-   by [lag_budget].  Lag is the honest open-system overload signal:
-   abort storms, convoys and parked queues all surface as lag, and it
-   goes to zero as soon as degradation actually relieves the system. *)
+   Pressure is admission lag — how far behind its *intended* arrival a
+   request started — over [lag_budget].  Lag is the honest open-system
+   overload signal: abort storms, convoys and parked queues all surface
+   as lag, and it falls to zero once degradation relieves the system. *)
 module Brownout = struct
   type level = Normal | Route_ro | Shed_bronze | Shed_gold
 
@@ -433,54 +426,6 @@ module Brownout = struct
     | Shed_bronze -> "shed-bronze"
     | Shed_gold -> "shed-gold"
 
-  module Ladder = struct
-    type config = {
-      enter_above : float;  (* pressure climbing one level *)
-      exit_below : float;  (* pressure descending one level *)
-      dwell : int;  (* consecutive samples before a move *)
-      max_level : level;  (* escalation ceiling *)
-    }
-
-    let default_config =
-      { enter_above = 1.0; exit_below = 0.4; dwell = 3; max_level = Shed_gold }
-
-    type t = { level : level; up_streak : int; down_streak : int }
-
-    let initial = { level = Normal; up_streak = 0; down_streak = 0 }
-
-    (* One pressure observation.  Streaks reset whenever the sample
-       falls outside their side of the band, so [dwell] means [dwell]
-       *consecutive* samples — a flapping signal never moves the
-       ladder.  Returns the successor and whether a level changed. *)
-    let step cfg st ~pressure =
-      if pressure > cfg.enter_above then begin
-        let streak = st.up_streak + 1 in
-        if
-          streak >= cfg.dwell
-          && level_index st.level < level_index cfg.max_level
-        then
-          ( {
-              level = level_of_index (level_index st.level + 1);
-              up_streak = 0;
-              down_streak = 0;
-            },
-            true )
-        else ({ st with up_streak = streak; down_streak = 0 }, false)
-      end
-      else if pressure < cfg.exit_below then begin
-        let streak = st.down_streak + 1 in
-        if streak >= cfg.dwell && level_index st.level > 0 then
-          ( {
-              level = level_of_index (level_index st.level - 1);
-              up_streak = 0;
-              down_streak = 0;
-            },
-            true )
-        else ({ st with down_streak = streak; up_streak = 0 }, false)
-      end
-      else ({ st with up_streak = 0; down_streak = 0 }, false)
-  end
-
   type config = {
     ladder : Ladder.config;
     alpha : float;  (* EWMA weight of the newest lag observation *)
@@ -491,85 +436,43 @@ module Brownout = struct
 
   let default_config =
     {
-      ladder = Ladder.default_config;
+      ladder =
+        { Ladder.enter_above = 1.0; exit_below = 0.4; dwell = 3;
+          max_level = 3 };
       alpha = 0.2;
       sample_window = 0.01;
       lag_budget = 0.005;
     }
 
-  type t = {
-    cfg : config;
-    mu : Mutex.t;
-    mutable ladder : Ladder.t;
-    mutable ewma : float;
-    mutable have : bool;
-    mutable transitions : int;
-    mutable peak : int;
-    next_step_ns : int Atomic.t;
-    level_v : int Atomic.t;  (* fast-path mirror of [ladder.level] *)
-  }
+  type t = { cfg : config; loop : Loop.t }
 
   let make ?(config = default_config) () =
     {
       cfg = config;
-      mu = Mutex.create ();
-      ladder = Ladder.initial;
-      ewma = 0.0;
-      have = false;
-      transitions = 0;
-      peak = 0;
-      next_step_ns = Atomic.make 0;
-      level_v = Atomic.make 0;
+      loop =
+        Loop.make config.ladder ~alpha:config.alpha
+          ~window:config.sample_window;
     }
 
-  let level t = level_of_index (Atomic.get t.level_v)
-  let transitions t = t.transitions
-  let peak_level t = level_of_index t.peak
-  let pressure t = if t.have then Some t.ewma else None
+  let level t = level_of_index (Loop.level t.loop)
+  let transitions t = t.loop.Loop.transitions
+  let peak_level t = level_of_index t.loop.Loop.peak
+  let pressure t = Loop.value t.loop
 
-  (* Apply one ladder observation; caller holds [mu]. *)
-  let step_locked t =
-    let ladder', changed = Ladder.step t.cfg.ladder t.ladder ~pressure:t.ewma in
-    t.ladder <- ladder';
-    if changed then begin
-      let idx = level_index ladder'.Ladder.level in
-      Atomic.set t.level_v idx;
-      t.transitions <- t.transitions + 1;
-      if idx > t.peak then t.peak <- idx;
-      Proust_obs.Metrics.set_gauge "brownout_level" idx
-    end
+  let step t =
+    if Loop.step t.loop then
+      Proust_obs.Metrics.set_gauge "brownout_level" (Loop.level t.loop)
 
   (* One admission-lag observation (seconds), typically once per
      request.  The EWMA updates every call; the ladder only steps once
-     per [sample_window], claimed by CAS so one caller pays. *)
+     per [sample_window]. *)
   let note_lag t ~lag =
-    Mutex.lock t.mu;
-    let p = Float.max 0.0 lag /. t.cfg.lag_budget in
-    t.ewma <-
-      (if t.have then (t.cfg.alpha *. p) +. ((1.0 -. t.cfg.alpha) *. t.ewma)
-       else p);
-    t.have <- true;
-    Mutex.unlock t.mu;
-    let due = Atomic.get t.next_step_ns in
-    let now = Clock.now_mono_ns () in
-    if
-      now >= due
-      && Atomic.compare_and_set t.next_step_ns due
-           (now + int_of_float (t.cfg.sample_window *. 1e9))
-    then begin
-      Mutex.lock t.mu;
-      step_locked t;
-      Mutex.unlock t.mu
-    end
+    Loop.observe t.loop (Float.max 0.0 lag /. t.cfg.lag_budget);
+    if Loop.due t.loop then step t
 
-  (* Test hook: one pressure observation straight into the ladder,
-     bypassing the EWMA and the time gate. *)
   let inject_pressure t p =
-    Mutex.lock t.mu;
-    t.ewma <- p;
-    t.have <- true;
-    step_locked t;
-    Mutex.unlock t.mu
+    Loop.observe ~replace:true t.loop p;
+    step t
 
   type decision = Admit | Admit_ro | Shed
 

@@ -1,28 +1,36 @@
-(** Transaction quality-of-service: overload shedding and the
+(** Transaction quality-of-service: admission control and the
     stuck-transaction watchdog.
 
     Deadlines and retry budgets are enforced inside the attempt
     machinery ({!Txn_desc} carries the deadline, {!Commit_ladder}
     checks both at attempt boundaries); this module holds the control
-    loops that sit outside any one transaction.  Both are off by
-    default; their disabled fast paths are single atomic loads. *)
+    loops that sit outside any one transaction.  The three admission
+    controllers — {!Shedder}, {!Tenant} and {!Brownout} — share one
+    {!Ladder} state machine, one EWMA update and one token bucket.  The
+    shedder and the watchdog are off by default; the shedder's disabled
+    fast path is a single atomic load. *)
 
-(** The admission state machine, pure so property tests can drive it
-    through arbitrary abort-rate sequences. *)
-module Hysteresis : sig
-  type state = Normal | Degraded
+(** The escalation state machine over levels [0..max_level], pure so
+    property tests can drive it through arbitrary pressure sequences.
+    The {!Shedder} runs it with two levels and dwell 1 (plain
+    hysteresis); the {!Brownout} with four. *)
+module Ladder : sig
+  type config = {
+    enter_above : float;  (** pressure climbing one level *)
+    exit_below : float;  (** pressure descending one level *)
+    dwell : int;  (** consecutive samples required for a move *)
+    max_level : int;  (** escalation ceiling *)
+  }
 
-  val state_name : state -> string
+  type t = { level : int; up_streak : int; down_streak : int }
 
-  (** [step ~degrade_above ~recover_below state rate] is the successor
-      state and whether a transition happened.  Rates inside the dead
-      band [(recover_below, degrade_above)] never flip the state. *)
-  val step :
-    degrade_above:float ->
-    recover_below:float ->
-    state ->
-    float ->
-    state * bool
+  val initial : t
+
+  (** One pressure observation: the successor state and whether the
+      level changed.  Samples inside the dead band
+      [(exit_below, enter_above)] reset both streaks and never move
+      the ladder. *)
+  val step : config -> t -> pressure:float -> t * bool
 end
 
 (** Admission control: tracks the process-wide abort rate as an EWMA
@@ -52,13 +60,19 @@ module Shedder : sig
       {!Stm.atomic}, which turns a refusal into the [Shed] outcome. *)
   val admit : unit -> bool
 
-  val state : unit -> Hysteresis.state
+  type state = Normal | Degraded
 
-  (** Current abort-rate EWMA; [None] before the first valid window. *)
+  val state_name : state -> string
+
+  (** [Normal] while disabled. *)
+  val state : unit -> state
+
+  (** Current abort-rate EWMA; [None] before the first valid window
+      and while disabled. *)
   val abort_ewma : unit -> float option
 
   (** Test hook: feed one abort-rate observation directly into the
-      EWMA/hysteresis, bypassing the {!Stats} window sampler. *)
+      EWMA/ladder, bypassing the {!Stats} window sampler. *)
   val inject_sample : float -> unit
 end
 
@@ -106,61 +120,48 @@ module Tenant : sig
   val read_fraction : t -> float option
   val read_dominated : t -> bool
 
+  (** Per-tenant event counters, one row each of an ordered table. *)
+  type counter
+
+  val arrivals : counter
+  val admitted : counter
+  val committed : counter
+  val shed : counter
+  val timed_out : counter
+  val budget_exhausted : counter
+  val ro_routed : counter
+  val aborts : counter
+
   type stats = {
-    s_arrivals : int;
-    s_admitted : int;
-    s_committed : int;
-    s_shed : int;
-    s_timed_out : int;
-    s_budget_exhausted : int;
-    s_ro_routed : int;
-    s_aborts : int;
-    s_abort_ewma : float;
-    s_read_fraction : float;
+    s_counts : int array;  (** indexed by {!counter}; read with {!count} *)
+    s_abort_ewma : float;  (** [0.0] before the first sample *)
+    s_read_fraction : float;  (** [0.0] before the first sample *)
   }
 
   val stats : t -> stats
+  val count : stats -> counter -> int
+
+  (** Every counter as [(name, value)], in table order. *)
+  val to_assoc : stats -> (string * int) list
 end
 
 (** Stepwise graceful degradation under sustained overload, driven by
     admission lag (how far behind its {e intended} arrival a request
     started).  Escalation order: [Normal] → [Route_ro] (read-dominated
     tenants' pure-read requests take the abort-free [Stm.read_only]
-    path) → [Shed_bronze] → [Shed_gold]; the pure {!Ladder} state
-    machine moves one level at a time with a hysteresis dead band and a
-    dwell requirement, so recovery is stable and flapping signals never
-    move it.  The current level is published as the
-    ["brownout_level"] metrics gauge. *)
+    path) → [Shed_bronze] → [Shed_gold]; the {!Ladder} moves one level
+    at a time with a hysteresis dead band and a dwell requirement, so
+    recovery is stable and flapping signals never move it.  The current
+    level is published as the ["brownout_level"] metrics gauge. *)
 module Brownout : sig
   type level = Normal | Route_ro | Shed_bronze | Shed_gold
 
+  (** The {!Ladder} level of each brownout level; contractual-gold
+      deployments set [max_level] to [level_index Shed_bronze]. *)
   val level_index : level -> int
+
   val level_of_index : int -> level
   val level_name : level -> string
-
-  (** The pure escalation state machine (qcheck-able like
-      {!Hysteresis}). *)
-  module Ladder : sig
-    type config = {
-      enter_above : float;  (** pressure climbing one level *)
-      exit_below : float;  (** pressure descending one level *)
-      dwell : int;  (** consecutive samples required for a move *)
-      max_level : level;  (** escalation ceiling; deployments with
-          contractual gold admission cap at [Shed_bronze] *)
-    }
-
-    val default_config : config
-
-    type t = { level : level; up_streak : int; down_streak : int }
-
-    val initial : t
-
-    (** One pressure observation: the successor state and whether the
-        level changed.  Samples inside the dead band
-        [(exit_below, enter_above)] reset both streaks and never move
-        the ladder. *)
-    val step : config -> t -> pressure:float -> t * bool
-  end
 
   type config = {
     ladder : Ladder.config;

@@ -325,7 +325,8 @@ let run ?seed ?config ?brownout ?workers ?(prefill = 10_000)
       tr_name = rt.rt_spec.ts_name;
       tr_klass = rt.rt_spec.ts_klass;
       tr_stats = st;
-      tr_goodput = float_of_int st.Qos.Tenant.s_committed /. duration;
+      tr_goodput =
+        float_of_int Qos.Tenant.(count st committed) /. duration;
       tr_offered = float_of_int offered.(i) /. duration;
       tr_latency = Metrics.read_scope rt.rt_spec.ts_name;
       tr_max_lag_s = float_of_int (Atomic.get rt.rt_max_lag_ns) *. 1e-9;
@@ -351,27 +352,22 @@ module J = Proust_obs.Json
 let tenant_to_json (tr : tenant_result) =
   let s = tr.tr_stats in
   J.Obj
-    [
-      ("tenant", J.String tr.tr_name);
-      ("class", J.String (Qos.Tenant.klass_name tr.tr_klass));
-      ("arrivals", J.Int s.Qos.Tenant.s_arrivals);
-      ("admitted", J.Int s.Qos.Tenant.s_admitted);
-      ("committed", J.Int s.Qos.Tenant.s_committed);
-      ("shed", J.Int s.Qos.Tenant.s_shed);
-      ("timed_out", J.Int s.Qos.Tenant.s_timed_out);
-      ("budget_exhausted", J.Int s.Qos.Tenant.s_budget_exhausted);
-      ("ro_routed", J.Int s.Qos.Tenant.s_ro_routed);
-      ("aborts", J.Int s.Qos.Tenant.s_aborts);
-      ("abort_ewma", J.Float s.Qos.Tenant.s_abort_ewma);
-      ("read_fraction", J.Float s.Qos.Tenant.s_read_fraction);
-      ("offered_rps", J.Float tr.tr_offered);
-      ("goodput_rps", J.Float tr.tr_goodput);
-      ("max_lag_s", J.Float tr.tr_max_lag_s);
-      ( "latency_ns",
-        match tr.tr_latency with
-        | Some s -> Metrics.scope_summary_to_json s
-        | None -> J.Null );
-    ]
+    ([
+       ("tenant", J.String tr.tr_name);
+       ("class", J.String (Qos.Tenant.klass_name tr.tr_klass));
+     ]
+    @ List.map (fun (k, v) -> (k, J.Int v)) (Qos.Tenant.to_assoc s)
+    @ [
+        ("abort_ewma", J.Float s.Qos.Tenant.s_abort_ewma);
+        ("read_fraction", J.Float s.Qos.Tenant.s_read_fraction);
+        ("offered_rps", J.Float tr.tr_offered);
+        ("goodput_rps", J.Float tr.tr_goodput);
+        ("max_lag_s", J.Float tr.tr_max_lag_s);
+        ( "latency_ns",
+          match tr.tr_latency with
+          | Some s -> Metrics.scope_summary_to_json s
+          | None -> J.Null );
+      ])
 
 let to_json (r : result) =
   J.Obj

@@ -198,18 +198,17 @@ let test_open_runner_accounting () =
   check ci "two tenants" 2 (List.length r.W.Open_runner.o_tenants);
   List.iter
     (fun tr ->
-      let s = tr.W.Open_runner.tr_stats in
+      let n = Qos.Tenant.count tr.W.Open_runner.tr_stats in
       let resolved =
-        s.Qos.Tenant.s_committed + s.Qos.Tenant.s_shed + s.Qos.Tenant.s_timed_out
-        + s.Qos.Tenant.s_budget_exhausted
+        Qos.Tenant.(n committed + n shed + n timed_out + n budget_exhausted)
       in
       check ci
         (tr.W.Open_runner.tr_name ^ ": every arrival resolves exactly once")
-        s.Qos.Tenant.s_arrivals resolved;
+        (n Qos.Tenant.arrivals) resolved;
       check cb
         (tr.W.Open_runner.tr_name ^ ": arrivals happened")
         true
-        (s.Qos.Tenant.s_arrivals > 0);
+        (n Qos.Tenant.arrivals > 0);
       match tr.W.Open_runner.tr_latency with
       | None -> Alcotest.fail "latency scope missing"
       | Some sc ->
@@ -237,13 +236,69 @@ let test_open_runner_schedule_deterministic () =
   let arrivals r =
     List.map
       (fun tr ->
-        (tr.W.Open_runner.tr_name, tr.W.Open_runner.tr_stats.Qos.Tenant.s_arrivals))
+        ( tr.W.Open_runner.tr_name,
+          Qos.Tenant.(count tr.W.Open_runner.tr_stats arrivals) ))
       r.W.Open_runner.o_tenants
   in
   let a = run_tiny ~seed:11 () and b = run_tiny ~seed:11 () in
   check cb "same seed: identical arrival counts" true (arrivals a = arrivals b);
   let c = run_tiny ~seed:12 () in
   check cb "different seed: different schedule" true (arrivals a <> arrivals c)
+
+(* The per-tenant JSON object's keys, in order, with each counter
+   bumped a distinct number of times so a counter bound to the wrong
+   key reads as a wrong value. *)
+let test_tenant_json_keys () =
+  let t =
+    Qos.Tenant.make
+      ~config:{ Qos.Tenant.default_config with rate = 1e-6; burst = 2.0 }
+      ~name:"t" ~klass:Qos.Tenant.Bronze ()
+  in
+  let times n f = for _ = 1 to n do f () done in
+  let outcome kind n ~aborts =
+    times n (fun () -> Qos.Tenant.note_outcome t kind ~read:false ~aborts:0);
+    Qos.Tenant.note_outcome t kind ~read:false ~aborts
+  in
+  (* A burst of 2: 9 arrivals, 2 admitted. *)
+  times 9 (fun () -> ignore (Qos.Tenant.admit t));
+  outcome Qos.Tenant.Committed 2 ~aborts:0;
+  outcome Qos.Tenant.Shed 3 ~aborts:0;
+  outcome Qos.Tenant.Timed_out 4 ~aborts:0;
+  outcome Qos.Tenant.Budget_exhausted 5 ~aborts:8;
+  times 7 (fun () -> Qos.Tenant.note_ro_routed t);
+  let tr =
+    {
+      W.Open_runner.tr_name = "t";
+      tr_klass = Qos.Tenant.Bronze;
+      tr_stats = Qos.Tenant.stats t;
+      tr_goodput = 0.0;
+      tr_offered = 0.0;
+      tr_latency = None;
+      tr_max_lag_s = 0.0;
+    }
+  in
+  let fields =
+    match W.Open_runner.tenant_to_json tr with
+    | Proust_obs.Json.Obj kvs -> kvs
+    | _ -> Alcotest.fail "tenant JSON is not an object"
+  in
+  check (Alcotest.list cs) "tenant JSON keys, in order"
+    [
+      "tenant"; "class"; "arrivals"; "admitted"; "committed"; "shed";
+      "timed_out"; "budget_exhausted"; "ro_routed"; "aborts"; "abort_ewma";
+      "read_fraction"; "offered_rps"; "goodput_rps"; "max_lag_s";
+      "latency_ns";
+    ]
+    (List.map fst fields);
+  List.iter
+    (fun (key, v) ->
+      check cb (key ^ " value") true
+        (List.assoc key fields = Proust_obs.Json.Int v))
+    [
+      ("arrivals", 9); ("admitted", 2); ("committed", 3); ("shed", 4);
+      ("timed_out", 5); ("budget_exhausted", 6); ("ro_routed", 7);
+      ("aborts", 8);
+    ]
 
 (* End-to-end isolation contract: under an escalated controller capped
    at [Shed_bronze], the runner sheds every bronze request and not one
@@ -267,10 +322,10 @@ let test_brownout_never_sheds_gold () =
           Qos.Brownout.default_config with
           ladder =
             {
-              Qos.Brownout.Ladder.default_config with
+              Qos.Brownout.default_config.ladder with
               dwell = 1;
               exit_below = 0.0;
-              max_level = Qos.Brownout.Shed_bronze;
+              max_level = Qos.Brownout.(level_index Shed_bronze);
             };
         }
       ()
@@ -298,12 +353,13 @@ let test_brownout_never_sheds_gold () =
     List.find (fun tr -> tr.W.Open_runner.tr_name = n) r.W.Open_runner.o_tenants
   in
   let gold = find "g" and bronze = find "b" in
-  let gs = gold.W.Open_runner.tr_stats and bs = bronze.W.Open_runner.tr_stats in
-  check ci "gold never shed" 0 gs.Qos.Tenant.s_shed;
-  check cb "gold committed work" true (gs.Qos.Tenant.s_committed > 0);
-  check ci "every bronze arrival shed" bs.Qos.Tenant.s_arrivals
-    bs.Qos.Tenant.s_shed;
-  check ci "no bronze commit slipped through" 0 bs.Qos.Tenant.s_committed;
+  let gs = Qos.Tenant.count gold.W.Open_runner.tr_stats
+  and bs = Qos.Tenant.count bronze.W.Open_runner.tr_stats in
+  check ci "gold never shed" 0 (gs Qos.Tenant.shed);
+  check cb "gold committed work" true (gs Qos.Tenant.committed > 0);
+  check ci "every bronze arrival shed" (bs Qos.Tenant.arrivals)
+    (bs Qos.Tenant.shed);
+  check ci "no bronze commit slipped through" 0 (bs Qos.Tenant.committed);
   check cb "peak level reported" true
     (r.W.Open_runner.o_brownout_peak = Some Qos.Brownout.Shed_bronze)
 
@@ -357,6 +413,7 @@ let suite =
       test_open_runner_accounting;
     slow "open runner schedules are seed-deterministic"
       test_open_runner_schedule_deterministic;
+    test "tenant JSON keys and counter values" test_tenant_json_keys;
     slow "brownout capped at shed-bronze never sheds gold"
       test_brownout_never_sheds_gold;
     test "adaptive linger arms only under contention"

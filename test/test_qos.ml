@@ -111,128 +111,111 @@ let test_budget_independent_of_too_many_attempts () =
   | (_ : unit Stm.Outcome.t) -> Alcotest.fail "expected Too_many_attempts"
   | exception Stm.Too_many_attempts _ -> ()
 
-(* -- Shedding: hysteresis properties --------------------------------- *)
+(* -- Ladder: pure state-machine properties ------------------------- *)
 
-let degrade_above = 0.7
-let recover_below = 0.4
-
-let hysteresis_tests =
-  [
-    qcheck ~count:500 "dead-band rates never flip the state"
-      QCheck2.Gen.(list_size (int_range 1 50) (float_range recover_below degrade_above))
-      (fun rates ->
-        List.for_all
-          (fun st ->
-            List.for_all
-              (fun rate ->
-                let st', transitioned =
-                  Qos.Hysteresis.step ~degrade_above ~recover_below st rate
-                in
-                st' = st && not transitioned)
-              rates)
-          [ Qos.Hysteresis.Normal; Qos.Hysteresis.Degraded ]);
-    qcheck ~count:500 "step is a pure function of (state, rate)"
-      QCheck2.Gen.(pair bool (float_range 0.0 1.0))
-      (fun (start_degraded, rate) ->
-        let st =
-          if start_degraded then Qos.Hysteresis.Degraded else Qos.Hysteresis.Normal
-        in
-        let a = Qos.Hysteresis.step ~degrade_above ~recover_below st rate in
-        let b = Qos.Hysteresis.step ~degrade_above ~recover_below st rate in
-        a = b);
-    qcheck ~count:500 "transitions only at threshold crossings"
-      QCheck2.Gen.(list_size (int_range 1 100) (float_range 0.0 1.0))
-      (fun rates ->
-        let final, transitions =
-          List.fold_left
-            (fun (st, n) rate ->
-              let st', t =
-                Qos.Hysteresis.step ~degrade_above ~recover_below st rate
-              in
-              (* A reported transition must actually change the state,
-                 and be justified by the rate. *)
-              if t then begin
-                assert (st' <> st);
-                match st' with
-                | Qos.Hysteresis.Degraded -> assert (rate > degrade_above)
-                | Qos.Hysteresis.Normal -> assert (rate < recover_below)
-              end
-              else assert (st' = st);
-              (st', n + if t then 1 else 0))
-            (Qos.Hysteresis.Normal, 0) rates
-        in
-        (* Ending Degraded requires an odd transition count, Normal even. *)
-        match final with
-        | Qos.Hysteresis.Degraded -> transitions mod 2 = 1
-        | Qos.Hysteresis.Normal -> transitions mod 2 = 0);
-  ]
-
-(* -- Brownout ladder: pure state-machine properties ------------------- *)
-
+(* Each shared property runs on two ladders: a four-level brownout
+   ladder with dwell 2, and the shedder's Normal/Degraded hysteresis —
+   two levels, dwell 1, at the shedder's default thresholds.  [hi]
+   bounds the generated pressures. *)
 let ladder_cfg =
-  {
-    Qos.Brownout.Ladder.enter_above = 1.0;
-    exit_below = 0.4;
-    dwell = 2;
-    max_level = Qos.Brownout.Shed_gold;
-  }
+  { Qos.Ladder.enter_above = 1.0; exit_below = 0.4; dwell = 2; max_level = 3 }
 
-let run_ladder cfg samples =
+let shedder_cfg =
+  { Qos.Ladder.enter_above = 0.7; exit_below = 0.4; dwell = 1; max_level = 1 }
+
+let ladders = [ ("", ladder_cfg, 3.0); (" (shedder)", shedder_cfg, 1.0) ]
+
+let on_ladders ?(count = 500) name gen prop =
+  List.map
+    (fun (tag, cfg, hi) -> qcheck ~count (name ^ tag) (gen cfg hi) (prop cfg))
+    ladders
+
+let pressures n hi = QCheck2.Gen.(list_size (int_range 1 n) (float_range 0.0 hi))
+
+let run_ladder ?(from = Qos.Ladder.initial) cfg samples =
   List.fold_left
     (fun (st, trace) p ->
-      let st', changed = Qos.Brownout.Ladder.step cfg st ~pressure:p in
-      (st', (st'.Qos.Brownout.Ladder.level, changed) :: trace))
-    (Qos.Brownout.Ladder.initial, [])
-    samples
+      let st', changed = Qos.Ladder.step cfg st ~pressure:p in
+      (st', (st'.Qos.Ladder.level, changed) :: trace))
+    (from, []) samples
 
 let ladder_tests =
-  let open Qos.Brownout in
-  [
-    qcheck ~count:500 "dead-band pressure never moves the ladder"
+  let open Qos.Ladder in
+  on_ladders "dead-band pressure never moves the ladder"
+    (fun cfg _ ->
       QCheck2.Gen.(
-        list_size (int_range 1 50)
-          (float_range ladder_cfg.Ladder.exit_below
-             ladder_cfg.Ladder.enter_above))
-      (fun samples ->
-        let final, trace = run_ladder ladder_cfg samples in
-        final.Ladder.level = Normal
-        && List.for_all (fun (_, changed) -> not changed) trace);
-    qcheck ~count:500 "the ladder moves one level at a time"
-      QCheck2.Gen.(list_size (int_range 1 80) (float_range 0.0 3.0))
-      (fun samples ->
-        let _, trace = run_ladder ladder_cfg samples in
-        let levels = Normal :: List.rev_map fst trace in
+        list_size (int_range 1 50) (float_range cfg.exit_below cfg.enter_above)))
+    (fun cfg samples ->
+      List.for_all
+        (fun level ->
+          let final, trace = run_ladder ~from:{ initial with level } cfg samples in
+          final.level = level
+          && List.for_all (fun (_, changed) -> not changed) trace)
+        (List.init (cfg.max_level + 1) Fun.id))
+  @ on_ladders "the ladder moves one level at a time"
+      (fun _ hi -> pressures 80 hi)
+      (fun cfg samples ->
+        let _, trace = run_ladder cfg samples in
+        let levels = 0 :: List.rev_map fst trace in
         let rec ok = function
-          | a :: (b :: _ as rest) ->
-              abs (level_index a - level_index b) <= 1 && ok rest
+          | a :: (b :: _ as rest) -> abs (a - b) <= 1 && ok rest
           | _ -> true
         in
-        ok levels);
-    qcheck ~count:500 "max_level caps escalation"
-      QCheck2.Gen.(
-        pair (int_range 0 3) (list_size (int_range 1 80) (float_range 0.0 3.0)))
-      (fun (cap, samples) ->
-        let cfg = { ladder_cfg with Ladder.max_level = level_of_index cap } in
-        let _, trace = run_ladder cfg samples in
-        List.for_all (fun (l, _) -> level_index l <= cap) trace);
-    qcheck ~count:500 "fewer than dwell high samples never escalate"
-      QCheck2.Gen.(int_range 2 6)
-      (fun dwell ->
-        let cfg = { ladder_cfg with Ladder.dwell } in
-        (* dwell-1 high samples, a dead-band reset, repeated: the
-           streak can never complete. *)
-        let burst = List.init (dwell - 1) (fun _ -> 2.0) @ [ 0.7 ] in
-        let samples = List.concat (List.init 10 (fun _ -> burst)) in
-        let final, trace = run_ladder cfg samples in
-        final.Ladder.level = Normal
-        && List.for_all (fun (_, changed) -> not changed) trace);
-    qcheck ~count:200 "sustained calm always walks back to Normal"
-      QCheck2.Gen.(list_size (int_range 1 40) (float_range 0.0 3.0))
-      (fun noise ->
+        ok levels)
+  @ on_ladders "step is a pure function of (state, pressure)"
+      (fun cfg hi ->
+        QCheck2.Gen.(
+          quad (int_range 0 cfg.max_level) (int_range 0 cfg.dwell)
+            (int_range 0 cfg.dwell) (float_range 0.0 hi)))
+      (fun cfg (level, up_streak, down_streak, pressure) ->
+        let st = { level; up_streak; down_streak } in
+        step cfg st ~pressure = step cfg st ~pressure)
+  @ on_ladders "transitions only at threshold crossings"
+      (fun _ hi -> pressures 100 hi)
+      (fun cfg samples ->
+        let final, transitions, justified =
+          List.fold_left
+            (fun (st, n, ok) p ->
+              let st', changed = step cfg st ~pressure:p in
+              (* A reported transition must actually change the level,
+                 in the direction the pressure justifies. *)
+              let ok =
+                ok
+                &&
+                if not changed then st'.level = st.level
+                else if st'.level > st.level then p > cfg.enter_above
+                else st'.level < st.level && p < cfg.exit_below
+              in
+              (st', n + Bool.to_int changed, ok))
+            (initial, 0, true) samples
+        in
+        (* Every move is one level, so level and transition count share
+           parity: ending Degraded takes an odd count, Normal even. *)
+        justified && final.level mod 2 = transitions mod 2)
+  @ [
+      qcheck ~count:500 "max_level caps escalation"
+        QCheck2.Gen.(pair (int_range 0 3) (pressures 80 3.0))
+        (fun (cap, samples) ->
+          let cfg = { ladder_cfg with max_level = cap } in
+          let _, trace = run_ladder cfg samples in
+          List.for_all (fun (l, _) -> l <= cap) trace);
+      qcheck ~count:500 "fewer than dwell high samples never escalate"
+        QCheck2.Gen.(int_range 2 6)
+        (fun dwell ->
+          let cfg = { ladder_cfg with dwell } in
+          (* dwell-1 high samples, a dead-band reset, repeated: the
+             streak can never complete. *)
+          let burst = List.init (dwell - 1) (fun _ -> 2.0) @ [ 0.7 ] in
+          let samples = List.concat (List.init 10 (fun _ -> burst)) in
+          let final, trace = run_ladder cfg samples in
+          final.level = 0 && List.for_all (fun (_, changed) -> not changed) trace);
+    ]
+  @ on_ladders ~count:200 "sustained calm always walks back to Normal"
+      (fun _ hi -> pressures 40 hi)
+      (fun cfg noise ->
         let calm = List.init (4 * 2 * 5) (fun _ -> 0.1) in
-        let final, _ = run_ladder ladder_cfg (noise @ calm) in
-        final.Ladder.level = Normal);
-  ]
+        let final, _ = run_ladder cfg (noise @ calm) in
+        final.level = 0)
 
 (* -- Per-tenant QoS: token bucket and EWMAs --------------------------- *)
 
@@ -250,9 +233,9 @@ let test_tenant_token_bucket () =
     if Qos.Tenant.admit t then incr admitted
   done;
   check ci "admits exactly the burst" 8 !admitted;
-  let s = Qos.Tenant.stats t in
-  check ci "every arrival counted" 20 s.Qos.Tenant.s_arrivals;
-  check ci "admitted counter agrees" 8 s.Qos.Tenant.s_admitted;
+  let n = Qos.Tenant.(count (stats t)) in
+  check ci "every arrival counted" 20 (n Qos.Tenant.arrivals);
+  check ci "admitted counter agrees" 8 (n Qos.Tenant.admitted);
   (* Uncapped config: admission never refuses. *)
   let u =
     Qos.Tenant.make
@@ -292,10 +275,10 @@ let test_tenant_ewmas () =
         (Option.value e ~default:(-1.0)));
   check cb "write thrash ends read domination" false
     (Qos.Tenant.read_dominated t);
-  let s = Qos.Tenant.stats t in
-  check ci "commits counted" 10 s.Qos.Tenant.s_committed;
-  check ci "timeouts counted" 10 s.Qos.Tenant.s_timed_out;
-  check ci "aborts accumulated" 30 s.Qos.Tenant.s_aborts
+  let n = Qos.Tenant.(count (stats t)) in
+  check ci "commits counted" 10 (n Qos.Tenant.committed);
+  check ci "timeouts counted" 10 (n Qos.Tenant.timed_out);
+  check ci "aborts accumulated" 30 (n Qos.Tenant.aborts)
 
 (* -- Brownout controller: escalation, recovery, routing --------------- *)
 
@@ -305,7 +288,11 @@ let pinned_brownout ?(max_level = Qos.Brownout.Shed_gold) () =
       {
         Qos.Brownout.default_config with
         ladder =
-          { Qos.Brownout.Ladder.default_config with dwell = 1; max_level };
+          {
+            Qos.Brownout.default_config.ladder with
+            dwell = 1;
+            max_level = Qos.Brownout.level_index max_level;
+          };
       }
     ()
 
@@ -380,7 +367,7 @@ let test_shed_outcome () =
     ();
   Fun.protect ~finally:Qos.Shedder.disable @@ fun () ->
   check cs "starts Normal" "normal"
-    (Qos.Hysteresis.state_name (Qos.Shedder.state ()));
+    (Qos.Shedder.state_name (Qos.Shedder.state ()));
   let r = Tvar.make 0 in
   let go () = Stm.atomic (fun txn -> Stm.write txn r (Stm.read txn r + 1)) in
   (match go () with
@@ -388,7 +375,7 @@ let test_shed_outcome () =
   | o -> Alcotest.failf "normal-state admit failed: %s" (Stm.Outcome.name o));
   Qos.Shedder.inject_sample 0.95;
   check cs "degraded after overload sample" "degraded"
-    (Qos.Hysteresis.state_name (Qos.Shedder.state ()));
+    (Qos.Shedder.state_name (Qos.Shedder.state ()));
   (* Burst of 2 tokens, then the door closes. *)
   let outcomes = List.init 4 (fun _ -> go ()) in
   let sheds =
@@ -400,7 +387,7 @@ let test_shed_outcome () =
     Qos.Shedder.inject_sample 0.0
   done;
   check cs "recovered" "normal"
-    (Qos.Hysteresis.state_name (Qos.Shedder.state ()));
+    (Qos.Shedder.state_name (Qos.Shedder.state ()));
   (match go () with
   | Stm.Outcome.Committed () -> ()
   | o -> Alcotest.failf "recovered admit failed: %s" (Stm.Outcome.name o));
@@ -548,4 +535,4 @@ let suite =
     test "brownout plan routes by class and read mix"
       test_brownout_plan_routing;
   ]
-  @ hysteresis_tests @ ladder_tests
+  @ ladder_tests
