@@ -3,7 +3,6 @@ type ('k, 'v) t =
   | Node of { l : ('k, 'v) t; k : 'k; v : 'v; r : ('k, 'v) t; h : int }
 
 let empty = Leaf
-let is_empty t = t = Leaf
 let height = function Leaf -> 0 | Node { h; _ } -> h
 
 let node l k v r =
@@ -97,31 +96,31 @@ let rec remove ~compare key = function
         let r', old = remove ~compare key r in
         (balance l k v r', old)
 
-let rec iter f = function
-  | Leaf -> ()
-  | Node { l; k; v; r; _ } ->
-      iter f l;
-      f k v;
-      iter f r
-
 let rec cardinal = function
   | Leaf -> 0
   | Node { l; r; _ } -> 1 + cardinal l + cardinal r
 
-let bindings t =
-  let acc = ref [] in
-  iter (fun k v -> acc := (k, v) :: !acc) t;
-  List.rev !acc
-
-let rec fold_range ~compare ~lo ~hi f t acc =
+(* The bindings of [t] between the bounds, ascending, consed onto [acc]
+   right to left.  A [None] bound cannot cut [t]: past a node inside the
+   range, its right subtree lies above [lo] and its left below [hi], so
+   each bound is compared only along its own boundary path and the
+   subtrees between the paths are copied without a comparison. *)
+let rec cons_range ~compare lo hi t acc =
   match t with
   | Leaf -> acc
   | Node { l; k; v; r; _ } ->
-      let acc = if compare lo k < 0 then fold_range ~compare ~lo ~hi f l acc else acc in
-      let acc =
-        if compare lo k <= 0 && compare k hi <= 0 then f k v acc else acc
-      in
-      if compare k hi < 0 then fold_range ~compare ~lo ~hi f r acc else acc
+      let cl = match lo with Some lo -> compare lo k | None -> -1 in
+      if cl > 0 then cons_range ~compare lo hi r acc
+      else
+        let ch = match hi with Some hi -> compare k hi | None -> -1 in
+        if ch > 0 then cons_range ~compare lo hi l acc
+        else
+          let acc = if ch = 0 then acc else cons_range ~compare None hi r acc in
+          let acc = (k, v) :: acc in
+          if cl = 0 then acc else cons_range ~compare lo None l acc
+
+let bindings t = cons_range ~compare:(fun _ _ -> assert false) None None t []
+let range ~compare ~lo ~hi t = cons_range ~compare (Some lo) (Some hi) t []
 
 let well_formed ~compare t =
   let ok = ref true in

@@ -5,7 +5,9 @@
 type ('k, 'v) t
 
 val empty : ('k, 'v) t
-val is_empty : ('k, 'v) t -> bool
+
+(** Levels on the longest root-to-leaf path; [0] for the empty tree. *)
+val height : ('k, 'v) t -> int
 
 val find : compare:('k -> 'k -> int) -> 'k -> ('k, 'v) t -> 'v option
 
@@ -20,18 +22,14 @@ val min_binding : ('k, 'v) t -> ('k * 'v) option
 val max_binding : ('k, 'v) t -> ('k * 'v) option
 val cardinal : ('k, 'v) t -> int
 
-(** [fold_range ~compare ~lo ~hi f t acc] folds over bindings with
-    [lo <= k <= hi] in ascending key order. *)
-val fold_range :
-  compare:('k -> 'k -> int) ->
-  lo:'k ->
-  hi:'k ->
-  ('k -> 'v -> 'acc -> 'acc) ->
-  ('k, 'v) t ->
-  'acc ->
-  'acc
+(** [range ~compare ~lo ~hi t] is the bindings with [lo <= k <= hi],
+    ascending.  Keys are compared only on the two boundary paths: at
+    most two comparisons per level down to the split node, then one per
+    level below it, so at most [2 * height] in all; subtrees inside the
+    range are emitted without comparisons.  O(log n + k). *)
+val range :
+  compare:('k -> 'k -> int) -> lo:'k -> hi:'k -> ('k, 'v) t -> ('k * 'v) list
 
-val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 val bindings : ('k, 'v) t -> ('k * 'v) list
 
 (** AVL balance + ordering invariants, for property tests. *)

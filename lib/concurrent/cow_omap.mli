@@ -1,7 +1,8 @@
 (** Concurrent copy-on-write ordered map with O(1) snapshots: a
     persistent AVL behind an atomic root.  Linearizable, lock-free, and
-    supports range folds — the ordered-map base the paper's footnote 4
-    wishes existed as a snapshot-able concurrent collection. *)
+    serves range reads in O(log n + k) key comparisons ({!Avl.range}) —
+    the ordered-map base the paper's footnote 4 wishes existed as a
+    snapshot-able concurrent collection. *)
 
 type ('k, 'v) t
 type ('k, 'v) snapshot

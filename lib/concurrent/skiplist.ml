@@ -58,39 +58,36 @@ let random_level t =
   in
   go 0 (z land max_int)
 
+(* Wait-free tower descent towards the first key where [below] fails:
+   returns the last node whose key satisfies [below] and its level-0
+   successor, adjacent at traversal time.  [visit] sees that pair at
+   every level.  No locks; callers read the mark at the end. *)
+let descend ?(visit = fun _ _ _ -> ()) t below =
+  let pred = ref t.head in
+  let succ = ref t.head in
+  for level = t.max_level - 1 downto 0 do
+    let curr = ref (Option.get !pred.next.(level)) in
+    while below !curr.key do
+      pred := !curr;
+      curr := Option.get !curr.next.(level)
+    done;
+    visit level !pred !curr;
+    succ := !curr
+  done;
+  (!pred, !succ)
+
 (* Fill preds/succs for [k]; returns the level at which a node with key
    [k] was found, or -1. *)
 let find t k preds succs =
   let found = ref (-1) in
-  let pred = ref t.head in
-  for level = t.max_level - 1 downto 0 do
-    let curr = ref (Option.get !pred.next.(level)) in
-    while cmp_bound t !curr.key k < 0 do
-      pred := !curr;
-      curr := Option.get !curr.next.(level)
-    done;
-    if !found = -1 && cmp_bound t !curr.key k = 0 then found := level;
-    preds.(level) <- !pred;
-    succs.(level) <- !curr
-  done;
+  ignore
+    (descend t
+       (fun b -> cmp_bound t b k < 0)
+       ~visit:(fun level pred curr ->
+         if !found = -1 && cmp_bound t curr.key k = 0 then found := level;
+         preds.(level) <- pred;
+         succs.(level) <- curr));
   !found
-
-let get t k =
-  (* Wait-free traversal: no locks, read the mark at the end. *)
-  let pred = ref t.head in
-  let result = ref None in
-  for level = t.max_level - 1 downto 0 do
-    let curr = ref (Option.get !pred.next.(level)) in
-    while cmp_bound t !curr.key k < 0 do
-      pred := !curr;
-      curr := Option.get !curr.next.(level)
-    done;
-    if cmp_bound t !curr.key k = 0 && !result = None then
-      if !curr.fully_linked && not !curr.marked then result := !curr.value
-  done;
-  !result
-
-let contains t k = get t k <> None
 
 let with_locks nodes f =
   (* Lock an already-deduplicated, order-stable list of nodes. *)
@@ -235,31 +232,48 @@ let remove t k =
 let size t = Striped_counter.get t.count
 let is_empty t = size t = 0
 
-(* Weakly consistent level-0 traversal. *)
-let fold_live t f init =
-  let acc = ref init in
-  let curr = ref (Option.get t.head.next.(0)) in
-  let continue = ref true in
-  while !continue do
-    match !curr.key with
-    | Max -> continue := false
-    | Min -> curr := Option.get !curr.next.(0)
-    | Key k ->
-        (match !curr.value with
-        | Some v when !curr.fully_linked && not !curr.marked ->
-            acc := f k v !acc
-        | _ -> ());
-        curr := Option.get !curr.next.(0)
-  done;
-  !acc
+let next0 n = Option.get n.next.(0)
+let live n = if n.fully_linked && not n.marked then n.value else None
 
-let bindings t = List.rev (fold_live t (fun k v acc -> (k, v) :: acc) [])
+let get t k =
+  let _, n = descend t (fun b -> cmp_bound t b k < 0) in
+  if cmp_bound t n.key k = 0 then live n else None
+
+let contains t k = get t k <> None
+
+(* Weakly consistent level-0 walk from [n] to the tail or the first key
+   for which [past] holds: the live bindings, ascending. *)
+let[@tail_mod_cons] rec collect past n =
+  match (n.key, live n) with
+  | Max, _ -> []
+  | Key k, _ when past k -> []
+  | Key k, Some v -> (k, v) :: collect past (next0 n)
+  | (Min | Key _), _ -> collect past (next0 n)
+
+let bindings t = collect (fun _ -> false) t.head
 
 let min_binding t =
-  fold_live t (fun k v acc -> match acc with None -> Some (k, v) | some -> some) None
+  let rec first n =
+    match (n.key, live n) with
+    | Max, _ -> None
+    | Key k, Some v -> Some (k, v)
+    | (Min | Key _), _ -> first (next0 n)
+  in
+  first t.head
 
-let max_binding t = fold_live t (fun k v _ -> Some (k, v)) None
+(* The last node before the tail; if it is being inserted or removed,
+   descend again bounded by its key rather than wait for it. *)
+let max_binding t =
+  let rec go below =
+    match descend t below with
+    | ({ key = Key k; _ } as n), _ -> (
+        match live n with
+        | Some v -> Some (k, v)
+        | None -> go (fun b -> cmp_bound t b k < 0))
+    | _ -> None
+  in
+  go (function Max -> false | Min | Key _ -> true)
 
 let range t ~lo ~hi =
-  bindings t
-  |> List.filter (fun (k, _) -> t.compare k lo >= 0 && t.compare k hi <= 0)
+  let _, first = descend t (fun b -> cmp_bound t b lo < 0) in
+  collect (fun k -> t.compare k hi > 0) first

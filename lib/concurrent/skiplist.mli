@@ -27,9 +27,12 @@ val is_empty : ('k, 'v) t -> bool
 (** Smallest live binding at traversal time. *)
 val min_binding : ('k, 'v) t -> ('k * 'v) option
 
+(** Largest live binding at traversal time, found down the towers. *)
 val max_binding : ('k, 'v) t -> ('k * 'v) option
 
-(** Weakly consistent ascending bindings with [lo <= k <= hi]. *)
+(** Weakly consistent ascending bindings with [lo <= k <= hi]: seeks
+    [lo] down the towers as {!get} does, then walks level 0 to the first
+    key above [hi], so O(log n + k) expected comparisons. *)
 val range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k * 'v) list
 
 (** Weakly consistent ascending bindings. *)

@@ -147,13 +147,15 @@ let prop_avl_balanced ops =
   let t, _ = apply_avl ops in
   C.Avl.well_formed ~compare:Int.compare t
 
-let prop_avl_range ops =
+(* Bounds cover lo > hi, lo = hi and keys outside the 0..100 key set. *)
+let avl_range_gen =
+  QCheck2.Gen.(
+    let bound = int_range (-10) 110 in
+    pair avl_ops_gen (oneof [ pair bound bound; map (fun k -> (k, k)) bound ]))
+
+let prop_avl_range (ops, (lo, hi)) =
   let t, m = apply_avl ops in
-  let lo = 20 and hi = 60 in
-  C.Avl.fold_range ~compare:Int.compare ~lo ~hi
-    (fun k v acc -> (k, v) :: acc)
-    t []
-  |> List.rev
+  C.Avl.range ~compare:Int.compare ~lo ~hi t
   = (IntMap.bindings m |> List.filter (fun (k, _) -> k >= lo && k <= hi))
 
 let test_avl_min_max () =
@@ -189,6 +191,42 @@ let test_cow_omap_concurrent () =
   check ci "all in" 2_000 (C.Cow_omap.size m);
   check ci "range count" 100
     (List.length (C.Cow_omap.range m ~lo:0 ~hi:99))
+
+(* A range read compares keys only along its two boundary paths, so its
+   comparison count does not grow with the width of the range. *)
+let test_cow_omap_range_comparisons () =
+  let n = 100_000 in
+  let calls = ref 0 in
+  let compare a b =
+    incr calls;
+    Int.compare a b
+  in
+  let m = C.Cow_omap.create ~compare () in
+  let tree = ref C.Avl.empty in
+  for k = 0 to n - 1 do
+    ignore (C.Cow_omap.put m k k);
+    tree := fst (C.Avl.add ~compare:Int.compare k k !tree)
+  done;
+  (* Same insertion sequence into the same AVL, so the same shape. *)
+  let height = C.Avl.height !tree in
+  let bound = min (2 * height) 40 in
+  List.iter
+    (fun (lo, hi) ->
+      let width = min hi (n - 1) - lo + 1 in
+      List.iter
+        (fun (name, range) ->
+          calls := 0;
+          let r = range ~lo ~hi in
+          let name = Printf.sprintf "%s [%d, %d]" name lo hi in
+          check ci (name ^ " width") width (List.length r);
+          check cb
+            (Printf.sprintf "%s: %d comparisons <= %d" name !calls bound)
+            true (!calls <= bound))
+        [
+          ("range", C.Cow_omap.range m);
+          ("snapshot range", C.Cow_omap.Snapshot.range (C.Cow_omap.snapshot m));
+        ])
+    [ (50_000, 50_063); (30_000, 34_095); (n - 32, n + 31) ]
 
 (* ------------------------------------------------------------------ *)
 (* Proustian FIFO                                                      *)
@@ -630,10 +668,11 @@ let suite =
     slow "cow queue concurrent" test_cow_queue_concurrent;
     qcheck "avl matches Map" avl_ops_gen prop_avl_model;
     qcheck "avl balanced" avl_ops_gen prop_avl_balanced;
-    qcheck "avl range" avl_ops_gen prop_avl_range;
+    qcheck "avl range" avl_range_gen prop_avl_range;
     test "avl min/max" test_avl_min_max;
     test "cow omap" test_cow_omap;
     slow "cow omap concurrent" test_cow_omap_concurrent;
+    test "cow omap range comparisons" test_cow_omap_range_comparisons;
   ]
   @ fifo_tests
   @ [

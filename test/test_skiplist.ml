@@ -37,7 +37,11 @@ let skiplist_ops_gen =
       (pair (int_range 0 60)
          (oneof [ return `Remove; map (fun v -> `Put v) (int_range 0 999) ])))
 
-let prop_matches_map ops =
+let skiplist_gen =
+  QCheck2.Gen.(
+    pair skiplist_ops_gen (pair (int_range (-5) 65) (int_range (-5) 65)))
+
+let prop_matches_map (ops, (lo, hi)) =
   let s = C.Skiplist.create () in
   let m =
     List.fold_left
@@ -55,6 +59,34 @@ let prop_matches_map ops =
   in
   C.Skiplist.bindings s = IntMap.bindings m
   && C.Skiplist.size s = IntMap.cardinal m
+  && C.Skiplist.range s ~lo ~hi
+     = List.filter (fun (k, _) -> k >= lo && k <= hi) (IntMap.bindings m)
+  && C.Skiplist.min_binding s = IntMap.min_binding_opt m
+  && C.Skiplist.max_binding s = IntMap.max_binding_opt m
+
+(* A range seeks [lo] down the towers and then walks level 0 only to the
+   first key above [hi]. *)
+let test_range_comparisons () =
+  let n = 100_000 in
+  let calls = ref 0 in
+  let compare a b =
+    incr calls;
+    Int.compare a b
+  in
+  let s = C.Skiplist.create ~compare () in
+  for k = 0 to n - 1 do
+    ignore (C.Skiplist.put s k k)
+  done;
+  let log2_n = Float.(to_int (ceil (log2 (of_int n)))) in
+  let bound = 64 + 1 + (8 * log2_n) in
+  calls := 0;
+  let r = C.Skiplist.range s ~lo:50_000 ~hi:50_063 in
+  check cb "width 64" true (r = List.init 64 (fun i -> (50_000 + i, 50_000 + i)));
+  check cb
+    (Printf.sprintf "%d comparisons <= %d" !calls bound)
+    true (!calls <= bound);
+  check cb "min" true (C.Skiplist.min_binding s = Some (0, 0));
+  check cb "max" true (C.Skiplist.max_binding s = Some (n - 1, n - 1))
 
 let test_concurrent_disjoint () =
   let s = C.Skiplist.create () in
@@ -164,7 +196,8 @@ let suite =
   [
     test "skiplist basics" test_basics;
     test "skiplist ordering/range" test_ordering;
-    qcheck "skiplist matches Map" skiplist_ops_gen prop_matches_map;
+    qcheck "skiplist matches Map" skiplist_gen prop_matches_map;
+    test "skiplist range comparisons" test_range_comparisons;
     slow "skiplist concurrent disjoint" test_concurrent_disjoint;
     slow "skiplist concurrent contended" test_concurrent_contended;
     test "skipmap semantics" test_skipmap_semantics;
