@@ -4,10 +4,10 @@ type ('k, 'v) snapshot = {
   compare : 'k -> 'k -> int;
 }
 
-type ('k, 'v) t = { root : ('k, 'v) snapshot Atomic.t }
+type ('k, 'v) t = ('k, 'v) snapshot Atomic.t
 
 let create ?(compare = Stdlib.compare) () =
-  { root = Atomic.make { tree = Avl.empty; count = 0; compare } }
+  Atomic.make { tree = Avl.empty; count = 0; compare }
 
 module Snapshot = struct
   type ('k, 'v) t = ('k, 'v) snapshot
@@ -20,9 +20,9 @@ module Snapshot = struct
     ({ s with tree; count }, old)
 
   let remove s k =
-    let tree, old = Avl.remove ~compare:s.compare k s.tree in
-    let count = if old = None then s.count else s.count - 1 in
-    ({ s with tree; count }, old)
+    match Avl.remove ~compare:s.compare k s.tree with
+    | _, None -> (s, None)
+    | tree, old -> ({ s with tree; count = s.count - 1 }, old)
 
   let min_binding s = Avl.min_binding s.tree
   let max_binding s = Avl.max_binding s.tree
@@ -31,22 +31,12 @@ module Snapshot = struct
   let bindings s = Avl.bindings s.tree
 end
 
-let snapshot t = Atomic.get t.root
-let commit t ~expected ~desired = Atomic.compare_and_set t.root expected desired
+let root t = t
+let snapshot = Atomic.get
 let get t k = Snapshot.find (snapshot t) k
 let contains t k = get t k <> None
-
-let rec put t k v =
-  let s = snapshot t in
-  let s', old = Snapshot.add s k v in
-  if commit t ~expected:s ~desired:s' then old else put t k v
-
-let rec remove t k =
-  let s = snapshot t in
-  match Snapshot.remove s k with
-  | _, None -> None
-  | s', old -> if commit t ~expected:s ~desired:s' then old else remove t k
-
+let put t k v = Root.update t (fun s -> Snapshot.add s k v)
+let remove t k = Root.update t (fun s -> Snapshot.remove s k)
 let min_binding t = Snapshot.min_binding (snapshot t)
 let max_binding t = Snapshot.max_binding (snapshot t)
 let range t ~lo ~hi = Snapshot.range (snapshot t) ~lo ~hi

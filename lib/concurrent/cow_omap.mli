@@ -22,7 +22,11 @@ val range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k * 'v) list
 val size : ('k, 'v) t -> int
 val is_empty : ('k, 'v) t -> bool
 val snapshot : ('k, 'v) t -> ('k, 'v) snapshot
-val commit : ('k, 'v) t -> expected:('k, 'v) snapshot -> desired:('k, 'v) snapshot -> bool
+
+(** The atomic root itself, for {!Root.update} steps and wholesale
+    snapshot installs by replay logs. *)
+val root : ('k, 'v) t -> ('k, 'v) snapshot Atomic.t
+
 val bindings : ('k, 'v) t -> ('k * 'v) list
 
 module Snapshot : sig
@@ -30,7 +34,10 @@ module Snapshot : sig
 
   val find : ('k, 'v) t -> 'k -> 'v option
   val add : ('k, 'v) t -> 'k -> 'v -> ('k, 'v) t * 'v option
+
+  (** Returns the input itself when [k] is absent. *)
   val remove : ('k, 'v) t -> 'k -> ('k, 'v) t * 'v option
+
   val min_binding : ('k, 'v) t -> ('k * 'v) option
   val max_binding : ('k, 'v) t -> ('k * 'v) option
   val range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k * 'v) list

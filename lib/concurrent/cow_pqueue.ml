@@ -1,42 +1,5 @@
 type 'a snapshot = { heap : 'a Pheap.t; count : int; cmp : 'a -> 'a -> int }
-type 'a t = { root : 'a snapshot Atomic.t }
-
-let create ~cmp () =
-  { root = Atomic.make { heap = Pheap.empty; count = 0; cmp } }
-
-let snapshot t = Atomic.get t.root
-
-let rec add t x =
-  let s = Atomic.get t.root in
-  let s' = { s with heap = Pheap.insert ~cmp:s.cmp x s.heap; count = s.count + 1 } in
-  if not (Atomic.compare_and_set t.root s s') then add t x
-
-let peek t = Pheap.find_min (snapshot t).heap
-
-let rec poll t =
-  let s = Atomic.get t.root in
-  match Pheap.delete_min ~cmp:s.cmp s.heap with
-  | None -> None
-  | Some (x, heap) ->
-      if Atomic.compare_and_set t.root s { s with heap; count = s.count - 1 }
-      then Some x
-      else poll t
-
-let rec remove t x =
-  let s = Atomic.get t.root in
-  let heap, removed = Pheap.remove ~cmp:s.cmp x s.heap in
-  if not removed then false
-  else if Atomic.compare_and_set t.root s { s with heap; count = s.count - 1 }
-  then true
-  else remove t x
-
-let contains t x =
-  let s = snapshot t in
-  Pheap.mem ~cmp:s.cmp x s.heap
-
-let size t = (snapshot t).count
-let is_empty t = size t = 0
-let commit t ~expected ~desired = Atomic.compare_and_set t.root expected desired
+type 'a t = 'a snapshot Atomic.t
 
 module Snapshot = struct
   type 'a t = 'a snapshot
@@ -45,8 +8,8 @@ module Snapshot = struct
 
   let poll s =
     match Pheap.delete_min ~cmp:s.cmp s.heap with
-    | None -> None
-    | Some (x, heap) -> Some (x, { s with heap; count = s.count - 1 })
+    | None -> (s, None)
+    | Some (x, heap) -> ({ s with heap; count = s.count - 1 }, Some x)
 
   let add s x =
     { s with heap = Pheap.insert ~cmp:s.cmp x s.heap; count = s.count + 1 }
@@ -59,3 +22,14 @@ module Snapshot = struct
   let size s = s.count
   let to_sorted_list s = Pheap.to_sorted_list ~cmp:s.cmp s.heap
 end
+
+let create ~cmp () = Atomic.make { heap = Pheap.empty; count = 0; cmp }
+let root t = t
+let snapshot = Atomic.get
+let add t x = Root.update t (fun s -> (Snapshot.add s x, ()))
+let peek t = Snapshot.peek (snapshot t)
+let poll t = Root.update t Snapshot.poll
+let remove t x = Root.update t (fun s -> Snapshot.remove s x)
+let contains t x = Snapshot.contains (snapshot t) x
+let size t = Snapshot.size (snapshot t)
+let is_empty t = size t = 0

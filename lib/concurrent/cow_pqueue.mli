@@ -4,7 +4,8 @@
     structure" for their [LazyPriorityQueue] because no existing
     concurrent heap offered efficient snapshots (§4, footnote 4).
     This is that structure: a persistent pairing heap behind an atomic
-    root; every mutation is a CAS retry loop, [snapshot] is one load. *)
+    root.  Every mutation is one {!Root.update} over the matching
+    {!Snapshot} step, and [snapshot] is one load. *)
 
 type 'a t
 type 'a snapshot
@@ -28,15 +29,19 @@ val is_empty : 'a t -> bool
 (** O(1) point-in-time snapshot. *)
 val snapshot : 'a t -> 'a snapshot
 
-(** [commit t ~expected ~desired] installs a rebuilt state if the queue
-    is still exactly [expected]; used by replay paths. *)
-val commit : 'a t -> expected:'a snapshot -> desired:'a snapshot -> bool
+(** The atomic root itself, for {!Root.update} steps and wholesale
+    snapshot installs by replay logs. *)
+val root : 'a t -> 'a snapshot Atomic.t
 
 module Snapshot : sig
   type 'a t = 'a snapshot
 
   val peek : 'a t -> 'a option
-  val poll : 'a t -> ('a * 'a t) option
+
+  (** A state step: the smallest element, and the input itself when
+      empty. *)
+  val poll : 'a t -> 'a t * 'a option
+
   val add : 'a t -> 'a -> 'a t
   val remove : 'a t -> 'a -> 'a t * bool
   val contains : 'a t -> 'a -> bool

@@ -1,33 +1,27 @@
 type 'a snapshot = 'a Pqueue_fifo.t
-type 'a t = { root : 'a snapshot Atomic.t }
-
-let create () = { root = Atomic.make Pqueue_fifo.empty }
-let snapshot t = Atomic.get t.root
-
-let rec enqueue t v =
-  let s = Atomic.get t.root in
-  if not (Atomic.compare_and_set t.root s (Pqueue_fifo.enqueue s v)) then
-    enqueue t v
-
-let rec dequeue t =
-  let s = Atomic.get t.root in
-  match Pqueue_fifo.dequeue s with
-  | None -> None
-  | Some (v, s') ->
-      if Atomic.compare_and_set t.root s s' then Some v else dequeue t
-
-let peek t = Pqueue_fifo.peek (snapshot t)
-let size t = Pqueue_fifo.length (snapshot t)
-let is_empty t = size t = 0
-let commit t ~expected ~desired = Atomic.compare_and_set t.root expected desired
-let to_list t = Pqueue_fifo.to_list (snapshot t)
+type 'a t = 'a snapshot Atomic.t
 
 module Snapshot = struct
   type 'a t = 'a snapshot
 
   let enqueue = Pqueue_fifo.enqueue
-  let dequeue = Pqueue_fifo.dequeue
+
+  let dequeue s =
+    match Pqueue_fifo.dequeue s with
+    | None -> (s, None)
+    | Some (v, s') -> (s', Some v)
+
   let peek = Pqueue_fifo.peek
   let size = Pqueue_fifo.length
   let to_list = Pqueue_fifo.to_list
 end
+
+let create () = Atomic.make Pqueue_fifo.empty
+let root t = t
+let snapshot = Atomic.get
+let enqueue t v = Root.update t (fun s -> (Snapshot.enqueue s v, ()))
+let dequeue t = Root.update t Snapshot.dequeue
+let peek t = Snapshot.peek (snapshot t)
+let size t = Snapshot.size (snapshot t)
+let is_empty t = size t = 0
+let to_list t = Snapshot.to_list (snapshot t)

@@ -5,54 +5,10 @@ type ('k, 'v) snapshot = {
   equal : 'k -> 'k -> bool;
 }
 
-type ('k, 'v) t = { root : ('k, 'v) snapshot Atomic.t }
+type ('k, 'v) t = ('k, 'v) snapshot Atomic.t
 
 let create ?(hash = Hashtbl.hash) ?(equal = fun a b -> a = b) () =
-  { root = Atomic.make { map = Hamt.empty; count = 0; hash; equal } }
-
-let snapshot t = Atomic.get t.root
-
-let get t k =
-  let s = snapshot t in
-  Hamt.find ~hash:s.hash ~equal:s.equal k s.map
-
-let contains t k = get t k <> None
-let size t = (snapshot t).count
-let is_empty t = size t = 0
-
-let rec put t k v =
-  let s = Atomic.get t.root in
-  let map, old = Hamt.add ~hash:s.hash ~equal:s.equal k v s.map in
-  let count = if old = None then s.count + 1 else s.count in
-  if Atomic.compare_and_set t.root s { s with map; count } then old
-  else put t k v
-
-let rec put_if_absent t k v =
-  let s = Atomic.get t.root in
-  match Hamt.find ~hash:s.hash ~equal:s.equal k s.map with
-  | Some _ as old -> old
-  | None ->
-      let map, _ = Hamt.add ~hash:s.hash ~equal:s.equal k v s.map in
-      if Atomic.compare_and_set t.root s { s with map; count = s.count + 1 }
-      then None
-      else put_if_absent t k v
-
-let rec remove t k =
-  let s = Atomic.get t.root in
-  let map, old = Hamt.remove ~hash:s.hash ~equal:s.equal k s.map in
-  match old with
-  | None -> None
-  | Some _ ->
-      if Atomic.compare_and_set t.root s { s with map; count = s.count - 1 }
-      then old
-      else remove t k
-
-let iter f t = Hamt.iter f (snapshot t).map
-let fold f t init = Hamt.fold f (snapshot t).map init
-let bindings t = Hamt.bindings (snapshot t).map
-
-let compare_and_swap_root t ~expected ~desired =
-  Atomic.compare_and_set t.root expected desired
+  Atomic.make { map = Hamt.empty; count = 0; hash; equal }
 
 module Snapshot = struct
   type ('k, 'v) t = ('k, 'v) snapshot
@@ -66,12 +22,28 @@ module Snapshot = struct
     let count = if old = None then s.count + 1 else s.count in
     ({ s with map; count }, old)
 
+  let put_if_absent s k v =
+    match find s k with Some _ as old -> (s, old) | None -> add s k v
+
   let remove s k =
-    let map, old = Hamt.remove ~hash:s.hash ~equal:s.equal k s.map in
-    let count = if old = None then s.count else s.count - 1 in
-    ({ s with map; count }, old)
+    match Hamt.remove ~hash:s.hash ~equal:s.equal k s.map with
+    | _, None -> (s, None)
+    | map, old -> ({ s with map; count = s.count - 1 }, old)
 
   let iter f s = Hamt.iter f s.map
   let fold f s init = Hamt.fold f s.map init
   let bindings s = Hamt.bindings s.map
 end
+
+let root t = t
+let snapshot = Atomic.get
+let get t k = Snapshot.find (snapshot t) k
+let contains t k = get t k <> None
+let size t = Snapshot.size (snapshot t)
+let is_empty t = size t = 0
+let put t k v = Root.update t (fun s -> Snapshot.add s k v)
+let put_if_absent t k v = Root.update t (fun s -> Snapshot.put_if_absent s k v)
+let remove t k = Root.update t (fun s -> Snapshot.remove s k)
+let iter f t = Snapshot.iter f (snapshot t)
+let fold f t init = Snapshot.fold f (snapshot t) init
+let bindings t = Snapshot.bindings (snapshot t)

@@ -2,21 +2,16 @@ type 'a t = { top : 'a list Atomic.t; count : Striped_counter.t }
 
 let create () = { top = Atomic.make []; count = Striped_counter.create () }
 
-let rec push t v =
-  let cur = Atomic.get t.top in
-  if Atomic.compare_and_set t.top cur (v :: cur) then
-    Striped_counter.incr t.count
-  else push t v
+let push t v =
+  Root.update t.top (fun cur -> (v :: cur, ()));
+  Striped_counter.incr t.count
 
-let rec pop t =
-  match Atomic.get t.top with
-  | [] -> None
-  | v :: rest as cur ->
-      if Atomic.compare_and_set t.top cur rest then begin
-        Striped_counter.decr t.count;
-        Some v
-      end
-      else pop t
+let pop t =
+  let popped =
+    Root.update t.top (function [] -> ([], None) | v :: rest -> (rest, Some v))
+  in
+  if Option.is_some popped then Striped_counter.decr t.count;
+  popped
 
 let peek t = match Atomic.get t.top with [] -> None | v :: _ -> Some v
 let size t = Striped_counter.get t.count

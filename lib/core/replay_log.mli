@@ -14,9 +14,11 @@
       pending operations on the same key (sets, maps).  Supports the
       paper's log-combining optimisation: replay only the final state
       of each abstract-state element instead of every logged operation.
-    - {!Snapshot}: snapshot shadow copies, for structures offering
-      fast point-in-time snapshots (the Ctrie, the COW priority
-      queue).
+    - {!Snapshot}: snapshot shadow copies, for copy-on-write
+      structures whose whole state sits behind one atomic root (the
+      Ctrie, the COW queues and ordered map).  Replay, wholesale
+      install and session merge all derive from the same logged state
+      steps.
 
     {2 Cross-transaction combining}
 
@@ -88,54 +90,50 @@ module Memo : sig
 end
 
 module Snapshot : sig
-  (** A log over a shadow snapshot of type ['s].  The snapshot is taken
+  (** A log over a shadow snapshot of type ['s], the state behind a
+      copy-on-write structure's atomic root.  The snapshot is taken
       lazily, at the first mutating operation ("readOnly provides an
       optimization to avoid initializing the log until it is known that
-      a replay is actually necessary", Fig. 2b). *)
+      a replay is actually necessary", Fig. 2b).  The log is one list
+      of pure state steps; commit applies them to the root with
+      {!Proust_concurrent.Root.update}, one step at a time.  When the
+      root has moved since the shadow was taken, the next [read_only]
+      or [update] rebases the shadow: it re-applies the steps to the
+      current root, so a shadow read never misses a commit whose
+      abstract-lock stripe the transaction has already read. *)
   type 's t
 
   (** Structure-level accumulator for cross-transaction combining: the
-      merge thunks of every fully-mergeable transaction drained so far
-      in the current combine session, flushed in linearization order
-      through one install CAS. *)
+      steps of every fully-mergeable transaction drained so far in the
+      current combine session, folded in linearization order into one
+      root update. *)
   type 's shared
 
   val make_shared : unit -> 's shared
 
-  (** [install] enables log combining for snapshot replays (§9 future
-      work): at commit, if the shared structure still equals the state
-      the shadow was taken from, the shadow is installed wholesale
-      (e.g. one root CAS); otherwise the per-operation log replays on
-      top of the commuting updates that landed in between.  [shared]
-      (requires [install]) extends the combining across the
+  (** [combine] (default [false]) enables log combining for snapshot
+      replays (§9 future work): at commit, if [root] still holds the
+      state the shadow was taken from, the shadow is installed
+      wholesale with one CAS; otherwise each logged step replays on top
+      of the commuting updates that landed in between.  [shared]
+      (honoured only with [combine]) extends the combining across the
       transactions of one combiner drain; see the module preamble for
       the LAP soundness requirement. *)
   val create :
-    snapshot:(unit -> 's) ->
-    ?install:(expected:'s -> desired:'s -> bool) ->
-    ?shared:'s shared ->
-    Stm.txn ->
-    's t
+    root:'s Atomic.t -> ?combine:bool -> ?shared:'s shared -> Stm.txn -> 's t
 
   (** [read_only t ~shadow ~direct] computes a result from the shadow
       copy when one exists, else straight from the base structure. *)
   val read_only : 's t -> shadow:('s -> 'z) -> direct:(unit -> 'z) -> 'z
 
-  (** [update txn t f ?merge ~replay] applies [f] to the shadow copy,
-      logs [replay] for commit-time application to the base, and
-      returns [f]'s result.  [merge], when given, re-expresses the
-      operation as a state transformer applicable to {e any} base
-      state (an insert, say — not a dequeue, whose result depends on
-      the state it ran against); an entry whose every operation carries
-      one can be folded into the session's batch flush instead of
-      replaying directly. *)
-  val update :
-    Stm.txn ->
-    's t ->
-    ?merge:('s -> 's) ->
-    ('s -> 's * 'z) ->
-    replay:(unit -> unit) ->
-    'z
+  (** [update txn t f] applies the pure step [f] to the shadow copy,
+      logs it for commit-time application to the root, and returns its
+      result.  [merge] (default [false]) declares that [f] is valid on
+      {e any} base state (an insert, say — not a dequeue, whose result
+      depends on the state it ran against); an entry whose every step
+      is so marked can be folded into the session's batch flush instead
+      of replaying directly. *)
+  val update : Stm.txn -> 's t -> ?merge:bool -> ('s -> 's * 'z) -> 'z
 
   val pending_ops : 's t -> int
 end

@@ -16,11 +16,6 @@ type 'v t = {
 let make ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
     ?(combine = false) () =
   let base = Cq.create () in
-  let install =
-    if combine then
-      Some (fun ~expected ~desired -> Cq.commit base ~expected ~desired)
-    else None
-  in
   (* Cross-transaction merging needs the validated optimistic LAP —
      see {!Memo_map.make} for the soundness argument. *)
   let shared =
@@ -37,8 +32,7 @@ let make ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
     mergeable = Option.is_some shared;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ?install ?shared
-           ~snapshot:(fun () -> Cq.snapshot base));
+        (Replay_log.Snapshot.create ~root:(Cq.root base) ~combine ?shared);
   }
 
 let log t txn = Stm.Local.get txn t.log_key
@@ -52,10 +46,8 @@ let enqueue t txn v =
       Intent.Write Tail
       :: (if shadow_size t txn = 0 then [ Intent.Write Head ] else []));
   Abstract_lock.apply t.alock txn [] (fun () ->
-      Replay_log.Snapshot.update txn (log t txn)
-        (fun s -> (Cq.Snapshot.enqueue s v, ()))
-        ~merge:(fun s -> Cq.Snapshot.enqueue s v)
-        ~replay:(fun () -> Cq.enqueue t.base v);
+      Replay_log.Snapshot.update txn (log t txn) ~merge:true (fun s ->
+          (Cq.Snapshot.enqueue s v, ()));
       Committed_size.add t.csize txn 1)
 
 let dequeue t txn =
@@ -67,12 +59,7 @@ let dequeue t txn =
       if empty then None
       else
         let popped =
-          Replay_log.Snapshot.update txn (log t txn)
-            (fun s ->
-              match Cq.Snapshot.dequeue s with
-              | None -> (s, None)
-              | Some (v, s') -> (s', Some v))
-            ~replay:(fun () -> ignore (Cq.dequeue t.base))
+          Replay_log.Snapshot.update txn (log t txn) Cq.Snapshot.dequeue
         in
         if popped <> None then Committed_size.add t.csize txn (-1);
         popped)

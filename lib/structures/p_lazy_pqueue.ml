@@ -22,11 +22,6 @@ type 'v t = {
 let make ~cmp ?(stripes = 8) ?(lap = Trait.Optimistic)
     ?(size_mode = `Counter) ?(combine = false) () =
   let base = Cq.create ~cmp () in
-  let install =
-    if combine then
-      Some (fun ~expected ~desired -> Cq.commit base ~expected ~desired)
-    else None
-  in
   (* Cross-transaction merging needs the validated optimistic LAP —
      see {!Memo_map.make} for the soundness argument.  The striped
      [Multiset] band makes this the paying case: inserts from distinct
@@ -48,8 +43,7 @@ let make ~cmp ?(stripes = 8) ?(lap = Trait.Optimistic)
     mergeable = Option.is_some shared;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ?install ?shared
-           ~snapshot:(fun () -> Cq.snapshot base));
+        (Replay_log.Snapshot.create ~root:(Cq.root base) ~combine ?shared);
   }
 
 let log t txn = Stm.Local.get txn t.log_key
@@ -69,10 +63,8 @@ let insert t txn v =
   Abstract_lock.apply t.alock txn
     [ Intent.Write Multiset; min_intent ]
     (fun () ->
-      Replay_log.Snapshot.update txn (log t txn)
-        (fun s -> (Cq.Snapshot.add s v, ()))
-        ~merge:(fun s -> Cq.Snapshot.add s v)
-        ~replay:(fun () -> Cq.add t.base v);
+      Replay_log.Snapshot.update txn (log t txn) ~merge:true (fun s ->
+          (Cq.Snapshot.add s v, ()));
       Committed_size.add t.csize txn 1)
 
 let remove_min t txn =
@@ -87,12 +79,7 @@ let remove_min t txn =
       | None -> None
       | Some _ ->
           let popped =
-            Replay_log.Snapshot.update txn (log t txn)
-              (fun s ->
-                match Cq.Snapshot.poll s with
-                | None -> (s, None)
-                | Some (x, s') -> (s', Some x))
-              ~replay:(fun () -> ignore (Cq.poll t.base))
+            Replay_log.Snapshot.update txn (log t txn) Cq.Snapshot.poll
           in
           if popped <> None then Committed_size.add t.csize txn (-1);
           popped)

@@ -21,21 +21,13 @@ let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
   let backing = Ctrie.create () in
   let ca = Conflict_abstraction.striped ~slots () in
   let lap = Trait.make_lap lap ~ca in
-  let install =
-    if combine then
-      Some
-        (fun ~expected ~desired ->
-          Ctrie.compare_and_swap_root backing ~expected ~desired)
-    else None
-  in
   {
     backing;
     alock = Abstract_lock.make ~lap ~strategy:Update_strategy.Lazy;
     csize = Committed_size.create size_mode;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ?install
-           ~snapshot:(fun () -> Ctrie.snapshot backing));
+        (Replay_log.Snapshot.create ~root:(Ctrie.root backing) ~combine);
   }
 
 let log t txn = Stm.Local.get txn t.log_key
@@ -51,9 +43,8 @@ let contains t txn k = get t txn k <> None
 let put t txn k v =
   Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
       let old =
-        Replay_log.Snapshot.update txn (log t txn)
-          (fun s -> Ctrie.Snapshot.add s k v)
-          ~replay:(fun () -> ignore (Ctrie.put t.backing k v))
+        Replay_log.Snapshot.update txn (log t txn) (fun s ->
+            Ctrie.Snapshot.add s k v)
       in
       if old = None then Committed_size.add t.csize txn 1;
       old)
@@ -61,9 +52,8 @@ let put t txn k v =
 let remove t txn k =
   Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
       let old =
-        Replay_log.Snapshot.update txn (log t txn)
-          (fun s -> Ctrie.Snapshot.remove s k)
-          ~replay:(fun () -> ignore (Ctrie.remove t.backing k))
+        Replay_log.Snapshot.update txn (log t txn) (fun s ->
+            Ctrie.Snapshot.remove s k)
       in
       if old <> None then Committed_size.add t.csize txn (-1);
       old)

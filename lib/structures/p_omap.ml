@@ -43,11 +43,6 @@ let make ?(slots = 64) ?(lap = Trait.Optimistic)
     ?(strategy = Update_strategy.Lazy) ?(size_mode = `Counter)
     ?(combine = false) ~index () =
   let base = Om.create () in
-  let install =
-    if combine then
-      Some (fun ~expected ~desired -> Om.commit base ~expected ~desired)
-    else None
-  in
   {
     base;
     alock =
@@ -58,8 +53,7 @@ let make ?(slots = 64) ?(lap = Trait.Optimistic)
     strategy;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ?install
-           ~snapshot:(fun () -> Om.snapshot base));
+        (Replay_log.Snapshot.create ~root:(Om.root base) ~combine);
   }
 
 let log t txn = Stm.Local.get txn t.log_key
@@ -92,9 +86,8 @@ let put t txn k v =
         match t.strategy with
         | Update_strategy.Eager -> Om.put t.base k v
         | Update_strategy.Lazy ->
-            Replay_log.Snapshot.update txn (log t txn)
-              (fun s -> Om.Snapshot.add s k v)
-              ~replay:(fun () -> ignore (Om.put t.base k v))
+            Replay_log.Snapshot.update txn (log t txn) (fun s ->
+                Om.Snapshot.add s k v)
       in
       if old = None then Committed_size.add t.csize txn 1;
       old)
@@ -108,9 +101,8 @@ let remove t txn k =
         match t.strategy with
         | Update_strategy.Eager -> Om.remove t.base k
         | Update_strategy.Lazy ->
-            Replay_log.Snapshot.update txn (log t txn)
-              (fun s -> Om.Snapshot.remove s k)
-              ~replay:(fun () -> ignore (Om.remove t.base k))
+            Replay_log.Snapshot.update txn (log t txn) (fun s ->
+                Om.Snapshot.remove s k)
       in
       if old <> None then Committed_size.add t.csize txn (-1);
       old)

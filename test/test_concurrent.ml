@@ -288,10 +288,24 @@ let test_ctrie_cas_root () =
   let s = C.Ctrie.snapshot c in
   let s', _ = C.Ctrie.Snapshot.add s 2 2 in
   check cb "cas succeeds on unchanged" true
-    (C.Ctrie.compare_and_swap_root c ~expected:s ~desired:s');
+    (Atomic.compare_and_set (C.Ctrie.root c) s s');
   check copt_i "installed" (Some 2) (C.Ctrie.get c 2);
   check cb "cas fails on stale" false
-    (C.Ctrie.compare_and_swap_root c ~expected:s ~desired:s')
+    (Atomic.compare_and_set (C.Ctrie.root c) s s')
+
+(* Removing an absent key is a physically unchanged step, so
+   [Root.update] writes nothing: the root keeps the very same state. *)
+let test_absent_remove_keeps_root () =
+  let c = C.Ctrie.create () in
+  ignore (C.Ctrie.put c 1 1);
+  let before = C.Ctrie.snapshot c in
+  check copt_i "ctrie absent" None (C.Ctrie.remove c 2);
+  check cb "ctrie root unchanged" true (C.Ctrie.snapshot c == before);
+  let m = C.Cow_omap.create () in
+  ignore (C.Cow_omap.put m 1 1);
+  let before = C.Cow_omap.snapshot m in
+  check copt_i "omap absent" None (C.Cow_omap.remove m 2);
+  check cb "omap root unchanged" true (C.Cow_omap.snapshot m == before)
 
 (* ------------------------------------------------------------------ *)
 (* Pheap                                                                *)
@@ -464,6 +478,7 @@ let suite =
     test "ctrie snapshot isolation" test_ctrie_snapshot_isolation;
     slow "ctrie concurrent" test_ctrie_concurrent;
     test "ctrie cas root" test_ctrie_cas_root;
+    test "absent remove keeps the root" test_absent_remove_keeps_root;
     qcheck "pheap sorts" QCheck2.Gen.(list small_int) prop_pheap_sorted;
     qcheck "pheap heap-ordered" QCheck2.Gen.(list small_int)
       prop_pheap_well_formed;

@@ -450,40 +450,49 @@ let prop_memo_matches_model script =
   && List.for_all2 model.M.equal_ret r_plain model_rets
 
 let test_snapshot_log () =
-  let base = ref [ 1; 2; 3 ] in
+  let base = Atomic.make [ 1; 2; 3 ] in
   Stm.atomically (fun txn ->
-      let log = Replay_log.Snapshot.create ~snapshot:(fun () -> !base) txn in
+      let log = Replay_log.Snapshot.create ~root:base txn in
       (* read_only goes direct before any update *)
       check ci "direct read" 3
         (Replay_log.Snapshot.read_only log ~shadow:List.length
-           ~direct:(fun () -> List.length !base));
+           ~direct:(fun () -> List.length (Atomic.get base)));
       let len =
-        Replay_log.Snapshot.update txn log
-          (fun s -> (0 :: s, List.length s + 1))
-          ~replay:(fun () -> base := 0 :: !base)
+        Replay_log.Snapshot.update txn log (fun s -> (0 :: s, List.length s + 1))
       in
       check ci "update sees shadow" 4 len;
       check ci "shadow read" 4
         (Replay_log.Snapshot.read_only log ~shadow:List.length
            ~direct:(fun () -> -1));
-      check ci "base untouched" 3 (List.length !base);
+      check ci "base untouched" 3 (List.length (Atomic.get base));
       check ci "one pending" 1 (Replay_log.Snapshot.pending_ops log));
-  check ci "replayed on commit" 4 (List.length !base)
+  check ci "replayed on commit" 4 (List.length (Atomic.get base))
 
 let test_snapshot_log_abort () =
-  let base = ref [ 1 ] in
+  let base = Atomic.make [ 1 ] in
   let tries = ref 0 in
   Stm.atomically (fun txn ->
       incr tries;
       if !tries = 1 then begin
-        let log = Replay_log.Snapshot.create ~snapshot:(fun () -> !base) txn in
-        ignore
-          (Replay_log.Snapshot.update txn log
-             (fun s -> (9 :: s, ()))
-             ~replay:(fun () -> base := 9 :: !base));
+        let log = Replay_log.Snapshot.create ~root:base txn in
+        Replay_log.Snapshot.update txn log (fun s -> (9 :: s, ()));
         ignore (Stm.restart txn)
       end);
-  check ci "aborted replay dropped" 1 (List.length !base)
+  check ci "aborted replay dropped" 1 (List.length (Atomic.get base))
+
+(* With [combine], a root that moved after the shadow was taken makes
+   the wholesale install CAS fail; commit must then replay the logged
+   step on top of the foreign write instead of dropping either. *)
+let test_snapshot_log_install_fallback () =
+  let base = Atomic.make [ 1 ] in
+  let tries = ref 0 in
+  Stm.atomically (fun txn ->
+      incr tries;
+      let log = Replay_log.Snapshot.create ~root:base ~combine:true txn in
+      Replay_log.Snapshot.update txn log (fun s -> (2 :: s, ()));
+      Atomic.set base (3 :: Atomic.get base));
+  check ci "one attempt" 1 !tries;
+  check clist_i "step replayed on the moved root" [ 2; 3; 1 ] (Atomic.get base)
 
 (* ------------------------------------------------------------------ *)
 (* Committed size                                                       *)
@@ -575,6 +584,8 @@ let suite =
       prop_memo_matches_model;
     test "snapshot log" test_snapshot_log;
     test "snapshot log abort" test_snapshot_log_abort;
+    test "snapshot log install falls back to replay"
+      test_snapshot_log_install_fallback;
     test "committed size counter" (committed_size_roundtrip `Counter);
     test "committed size transactional"
       (committed_size_roundtrip `Transactional);

@@ -437,6 +437,50 @@ let omap_concurrent_transfers () =
   in
   check ci "conserved (checked by a range scan)" 320 total
 
+(* A snapshot log's shadow must not hide a commit that was still
+   replaying when the shadow was taken.  The schedule is forced with
+   flags: the writer parks in a commit-locked hook registered before
+   its replay, so its commit version is drawn but its effect on the base
+   has not landed.  The reader starts then, so that version is inside
+   its snapshot; it writes key 0, which takes the shadow, waits until
+   the writer has published and returned, then reads key 1.  The read
+   must see the writer's 9: a stale 0 would pass validation and, in a
+   transfer, lose an update. *)
+let shadow_sees_landed_commit (ops : (int, int) S.Trait.Map.ops) () =
+  let config = cfg_of_mode Stm.Lazy_lazy in
+  Stm.atomically ~config (fun txn ->
+      ignore (ops.S.Trait.Map.put txn 0 0);
+      ignore (ops.S.Trait.Map.put txn 1 0));
+  let in_commit = Atomic.make false
+  and shadow_taken = Atomic.make false
+  and published = Atomic.make false in
+  let wait flag =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while not (Atomic.get flag) do
+      if Unix.gettimeofday () > deadline then failwith "schedule stalled";
+      Domain.cpu_relax ()
+    done
+  in
+  let writer =
+    Domain.spawn (fun () ->
+        Stm.atomically ~config (fun txn ->
+            Stm.on_commit_locked txn (fun () ->
+                Atomic.set in_commit true;
+                wait shadow_taken);
+            ignore (ops.S.Trait.Map.put txn 1 9));
+        Atomic.set published true)
+  in
+  wait in_commit;
+  let seen =
+    Stm.atomically ~config (fun txn ->
+        ignore (ops.S.Trait.Map.put txn 0 1);
+        Atomic.set shadow_taken true;
+        wait published;
+        ops.S.Trait.Map.get txn 1)
+  in
+  Domain.join writer;
+  check copt_i "read sees the published commit" (Some 9) seen
+
 (* ------------------------------------------------------------------ *)
 (* S9 optimisations                                                    *)
 
@@ -690,6 +734,12 @@ let suite =
       test "omap abort (eager)"
         (omap_abort Proust_core.Update_strategy.Eager (Some eager_struct_cfg));
       slow "omap concurrent transfers" omap_concurrent_transfers;
+      test "lazy-snap shadow sees a commit that landed"
+        (shadow_sees_landed_commit
+           (S.P_lazy_triemap.ops (S.P_lazy_triemap.make ())));
+      test "omap shadow sees a commit that landed"
+        (shadow_sees_landed_commit
+           (S.P_omap.map_ops (S.P_omap.make ~index:Fun.id ())));
       test "undo combining restores" test_undo_combining_restores;
       slow "undo combining conserves" test_undo_combining_conserves;
       test "install combining fast path" test_install_combining_fast_path;
