@@ -1,7 +1,7 @@
 (* Command-line benchmark driver for custom parameter sweeps.
 
-     proust_bench --impl lazy-memo,fifo-lazy --threads 1,2,4 --u 0.5 \
-                  --o 16 --ops 100000 --mode eager-lazy --cm karma \
+     proust_bench --impl lazy-memo,fifo-lazy --threads 1,2,4 -u 0.5,1.0 \
+                  -o 1,16 --ops 100000 --mode eager-lazy --cm karma \
                   --csv out.csv --json report.json --trace trace.json
 
    The `bench/main.exe` harness regenerates the paper's fixed grids;
@@ -20,34 +20,14 @@ module W = Proust_workload
 module S = Proust_structures
 module Obs = Proust_obs
 
-(* Spellings accepted for entries that were renamed when the registry
-   replaced the hand-written implementation list. *)
-let canonical = function
-  | "eager-pess" -> "pessimistic"
-  | "lazy-memo-nocombine" -> "lazy-memo"
-  | "lazy-triemap" -> "lazy-snap"
-  | other -> other
-
-let mode_of_string = Stm.Mode.of_string
-
-let cm_of_string = function
-  | "passive" -> Proust_stm.Contention.passive ()
-  | "polite" -> Proust_stm.Contention.polite ()
-  | "karma" -> Proust_stm.Contention.karma ()
-  | "timestamp" -> Proust_stm.Contention.timestamp ()
-  | other -> invalid_arg ("unknown contention manager: " ^ other)
-
-let run impls threads_list u o ops key_range trials slots mode cm csv json
-    trace =
+let run impls threads_list u_list o_list ops key_range trials slots mode cm csv
+    json trace =
   let config =
     {
       (Stm.get_default_config ()) with
-      Stm.mode = mode_of_string mode;
-      cm = cm_of_string cm;
+      Stm.mode = Stm.Mode.of_string mode;
+      cm;
     }
-  in
-  let spec =
-    { W.Workload.key_range; write_fraction = u; ops_per_txn = o; total_ops = ops }
   in
   if json <> None then Obs.Metrics.enable ();
   if trace <> None then Obs.Trace.enable ();
@@ -55,47 +35,56 @@ let run impls threads_list u o ops key_range trials slots mode cm csv json
   let csv_oc = Option.map open_out csv in
   Option.iter W.Report.csv_header csv_oc;
   W.Report.header ();
-  List.iter
-    (fun raw_name ->
-      let name = canonical raw_name in
-      let e =
+  let entries =
+    List.map
+      (fun name ->
         match W.Registry.find ~slots name with
-        | Some e -> e
+        | Some e ->
+            (* Honour the requested mode unless the entry's trait
+               header rules it out (Theorem 5.2); then upgrade to
+               eager-lazy, as the registry would. *)
+            let config =
+              if
+                S.Trait.mode_ok e.W.Registry.meta.S.Trait.mode_req
+                  config.Stm.mode
+              then config
+              else { config with Stm.mode = Stm.Eager_lazy }
+            in
+            { e with W.Registry.config = Some config }
         | None ->
             invalid_arg
-              (Printf.sprintf "unknown impl %s (known: %s)" raw_name
-                 (String.concat ", " (W.Registry.names ())))
-      in
-      (* Honour the requested mode unless the entry's trait header
-         rules it out (Theorem 5.2); then upgrade to eager-lazy, as
-         the registry would. *)
-      let config =
-        if S.Trait.mode_ok e.W.Registry.meta.S.Trait.mode_req config.Stm.mode
-        then config
-        else { config with Stm.mode = Stm.Eager_lazy }
-      in
+              (Printf.sprintf "unknown impl %s (known: %s)" name
+                 (String.concat ", " (W.Registry.names ()))))
+      impls
+  in
+  List.iter
+    (fun u ->
       List.iter
-        (fun threads ->
-          let r =
-            match e.W.Registry.target with
-            | W.Registry.Map make ->
-                W.Runner.run ~config ~label:name ~trials ~warmup:1 ~threads
-                  ~spec make
-            | W.Registry.Queue make ->
-                W.Runner.run_queue ~config ~label:name ~trials ~warmup:1
-                  ~threads ~spec make
-            | W.Registry.Pqueue make ->
-                W.Runner.run_pqueue ~config ~label:name ~trials ~warmup:1
-                  ~threads ~spec make
-            | W.Registry.Counter make ->
-                W.Runner.run_counter ~config ~label:name ~trials ~warmup:1
-                  ~threads ~spec make
+        (fun o ->
+          let spec =
+            {
+              W.Workload.key_range;
+              write_fraction = u;
+              ops_per_txn = o;
+              total_ops = ops;
+            }
           in
-          W.Report.row ~name r;
-          Option.iter (fun oc -> W.Report.csv_row oc ~name r) csv_oc;
-          if json <> None then cells := W.Report.json_cell ~name r :: !cells)
-        threads_list)
-    impls;
+          List.iter
+            (fun (e : W.Registry.entry) ->
+              let name = e.W.Registry.name in
+              List.iter
+                (fun threads ->
+                  let r =
+                    W.Runner.run_entry ~trials ~warmup:1 ~threads ~spec e
+                  in
+                  W.Report.row ~name r;
+                  Option.iter (fun oc -> W.Report.csv_row oc ~name r) csv_oc;
+                  if json <> None then
+                    cells := W.Report.json_cell ~name r :: !cells)
+                threads_list)
+            entries)
+        o_list)
+    u_list;
   Option.iter close_out csv_oc;
   Option.iter
     (fun file ->
@@ -105,14 +94,14 @@ let run impls threads_list u o ops key_range trials slots mode cm csv json
           ("impls", Obs.Json.List (List.map jstr impls));
           ( "threads",
             Obs.Json.List (List.map (fun t -> Obs.Json.Int t) threads_list) );
-          ("u", Obs.Json.Float u);
-          ("o", Obs.Json.Int o);
+          ("u", Obs.Json.List (List.map (fun u -> Obs.Json.Float u) u_list));
+          ("o", Obs.Json.List (List.map (fun o -> Obs.Json.Int o) o_list));
           ("ops", Obs.Json.Int ops);
           ("key_range", Obs.Json.Int key_range);
           ("trials", Obs.Json.Int trials);
           ("slots", Obs.Json.Int slots);
           ("mode", jstr mode);
-          ("cm", jstr cm);
+          ("cm", jstr cm.Proust_stm.Contention.name);
           ("ocaml", jstr Sys.ocaml_version);
           ("unix_time", Obs.Json.Float (Unix.gettimeofday ()));
         ]
@@ -141,9 +130,16 @@ let threads_arg =
   Arg.(value & opt (list int) [ 1; 2; 4 ] & info [ "threads"; "t" ] ~doc:"Thread counts")
 
 let u_arg =
-  Arg.(value & opt float 0.5 & info [ "u" ] ~doc:"Write fraction in [0,1]")
+  Arg.(
+    value
+    & opt (list float) [ 0.5 ]
+    & info [ "u" ] ~doc:"Comma-separated write fractions in [0,1]")
 
-let o_arg = Arg.(value & opt int 16 & info [ "o" ] ~doc:"Operations per transaction")
+let o_arg =
+  Arg.(
+    value
+    & opt (list int) [ 16 ]
+    & info [ "o" ] ~doc:"Comma-separated operations per transaction")
 
 let ops_arg =
   Arg.(value & opt int 50_000 & info [ "ops" ] ~doc:"Total operations per cell")
@@ -166,10 +162,18 @@ let mode_arg =
              (String.concat ", " (Stm.Mode.names ()))))
 
 let cm_arg =
+  let managers =
+    List.map
+      (fun (cm : Proust_stm.Contention.t) -> (cm.Proust_stm.Contention.name, cm))
+      (Proust_stm.Contention.all ())
+  in
   Arg.(
     value
-    & opt string "passive"
-    & info [ "cm" ] ~doc:"Contention manager: passive, polite, karma, timestamp")
+    & opt (enum managers) (List.assoc "passive" managers)
+    & info [ "cm" ]
+        ~doc:
+          (Printf.sprintf "Contention manager: %s"
+             (String.concat ", " (List.map fst managers))))
 
 let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write CSV to $(docv)")

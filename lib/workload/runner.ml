@@ -35,6 +35,29 @@ let barrier n =
       Domain.cpu_relax ()
     done
 
+(* [timed n work] spawns [n] workers; worker [i] runs [work i] as its
+   untimed setup, then meets the others at the barrier and runs the
+   closure that setup returned.  Workers time themselves: first-start
+   to last-finish, on the monotonic clock (a wall-clock step mid-run
+   would corrupt the window).  Timing from the spawning thread
+   under-measures when there are fewer cores than domains (the workers
+   can finish before the spawner runs again), and timing one worker
+   misses the others' tails. *)
+let timed n work =
+  let enter = barrier n in
+  let started = Array.make n 0.0 in
+  let finished = Array.make n 0.0 in
+  let body i () =
+    let run = work i in
+    enter ();
+    started.(i) <- Clock.now_mono ();
+    run ();
+    finished.(i) <- Clock.now_mono ()
+  in
+  List.init n (fun i -> Domain.spawn (body i)) |> List.iter Domain.join;
+  Array.fold_left max neg_infinity finished
+  -. Array.fold_left min infinity started
+
 (* One trial, generic over the structure ('ops) and operation ('op)
    types.  [streams i] yields domain [i]'s pre-generated operations. *)
 let run_trial (type ops op) ?config ?label ~threads ~(spec : Workload.spec)
@@ -43,43 +66,28 @@ let run_trial (type ops op) ?config ?label ~threads ~(spec : Workload.spec)
   let ops = make_ops () in
   prefill config ops;
   let streams = Array.init threads streams in
-  let enter = barrier threads in
-  (* Workers time themselves: first-start to last-finish, on the
-     monotonic clock (a wall-clock step mid-trial would corrupt the
-     window).  Timing from the spawning thread under-measures when
-     there are fewer cores than domains (the workers can finish before
-     the spawner runs again). *)
-  let started = Array.make threads 0.0 in
-  let finished = Array.make threads 0.0 in
-  let body i () =
-    Option.iter Proust_obs.Metrics.set_label label;
-    enter ();
-    started.(i) <- Clock.now_mono ();
-    (* [Gc.minor_words] is per-domain in OCaml 5, so each worker owns
-       its delta; the bulk-add into [Stats] makes the run's total
-       divisible by committed transactions for a words-per-commit
-       figure. *)
-    let words0 = Gc.minor_words () in
-    let stream = streams.(i) in
-    let n = Array.length stream in
-    let o = spec.ops_per_txn in
-    let idx = ref 0 in
-    while !idx < n do
-      let stop = min n (!idx + o) in
-      let start = !idx in
-      Stm.atomically ?config (fun txn ->
-          for j = start to stop - 1 do
-            apply ops txn stream.(j)
-          done);
-      idx := stop
-    done;
-    Stats.add_minor_words (int_of_float (Gc.minor_words () -. words0));
-    finished.(i) <- Clock.now_mono ()
-  in
-  let domains = List.init threads (fun i -> Domain.spawn (body i)) in
-  List.iter Domain.join domains;
-  Array.fold_left max neg_infinity finished
-  -. Array.fold_left min infinity started
+  timed threads (fun i ->
+      Option.iter Proust_obs.Metrics.set_label label;
+      let stream = streams.(i) in
+      fun () ->
+        (* [Gc.minor_words] is per-domain in OCaml 5, so each worker
+           owns its delta; the bulk-add into [Stats] makes the run's
+           total divisible by committed transactions for a
+           words-per-commit figure. *)
+        let words0 = Gc.minor_words () in
+        let n = Array.length stream in
+        let o = spec.ops_per_txn in
+        let idx = ref 0 in
+        while !idx < n do
+          let stop = min n (!idx + o) in
+          let start = !idx in
+          Stm.atomically ?config (fun txn ->
+              for j = start to stop - 1 do
+                apply ops txn stream.(j)
+              done);
+          idx := stop
+        done;
+        Stats.add_minor_words (int_of_float (Gc.minor_words () -. words0)))
 
 let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 

@@ -28,6 +28,13 @@ type result = {
     participants arrived. *)
 val barrier : int -> unit -> unit
 
+(** [timed n work] spawns [n] worker domains.  Worker [i] first runs
+    [work i] (untimed setup) and waits at a {!barrier}; then it runs
+    the closure [work i] returned.  The result is the window in
+    seconds from the first worker's start to the last worker's finish,
+    measured inside the workers on the monotonic clock. *)
+val timed : int -> (int -> unit -> unit) -> float
+
 (** [run ?config ?chaos ~threads ~spec make_ops] — [make_ops] builds a
     fresh map per trial so trials are independent.  [chaos] arms
     {!Fault} with the given policy for the measured trials and disarms

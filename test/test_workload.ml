@@ -70,6 +70,22 @@ let test_runner_end_to_end () =
   (* per trial: 32 prefill txns + 1000/2 ops in 4-op txns per thread *)
   check cb "commits recorded" true (r.W.Runner.stats.Stats.commits > 0)
 
+(* Every worker index runs once, and the window spans the slowest
+   worker: it cannot be shorter than the longest sleep. *)
+let test_timed_window () =
+  let n = 3 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let sleep i = 0.01 *. float_of_int (i + 1) in
+  let dt =
+    W.Runner.timed n (fun i () ->
+        Atomic.incr runs.(i);
+        Unix.sleepf (sleep i))
+  in
+  Array.iteri
+    (fun i c -> check ci (Printf.sprintf "worker %d ran once" i) 1 (Atomic.get c))
+    runs;
+  check cb "window covers the longest sleep" true (dt >= sleep (n - 1))
+
 let test_report_renders () =
   let make () =
     Proust_baselines.Predication_map.ops (Proust_baselines.Predication_map.make ())
@@ -100,6 +116,7 @@ let suite =
     test "u extremes" test_extremes;
     test "keys in range" test_keys_in_range;
     test "txn count" test_txn_count;
+    test "timed window" test_timed_window;
     slow "runner end to end" test_runner_end_to_end;
     slow "report renders" test_report_renders;
   ]
