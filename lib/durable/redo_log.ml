@@ -1,12 +1,32 @@
 (* Group-commit redo log: producers buffer framed records under a
    mutex and signal a dedicated flusher domain, which takes the whole
-   buffer, writes it in LSN order and fsyncs once per batch.  Producer
-   waits are backoff polls on the [flushed] ticket watermark — stdlib
-   [Condition] has no timed wait, and flush waits carry transaction
-   deadlines. *)
+   buffer, writes it in LSN order and fsyncs once per batch.
+
+   Durable waits park.  A waiter registers (ticket, waiter) on the
+   ticket-ordered [parked] list under [buf_lock], rechecking [flushed]
+   and the halt flag under that lock, then blocks on its domain's
+   {!Waitq} lot (deadline waits also hold a {!Parking} timer entry).
+   The flusher publishes [flushed] first and only then, under
+   [buf_lock], detaches and wakes every waiter at or below it: the
+   publish-then-detach order of [Stm.retry].  Either the detach sees
+   the registration, or the registration came after it and its recheck
+   sees the new watermark; no wake is lost.  A waiter's answer is the
+   watermark itself, never the fact of being woken.
+
+   The linger knows its committers.  A domain is a committer of a log
+   from its first [wait_durable] on it until the domain exits.  Once
+   the parked list holds a waiter from every live committer, nobody
+   who could still join the batch is running, so the flusher stops
+   lingering; otherwise it lingers the full [batch_delay], which an
+   idle committer therefore still gets. *)
 
 let snap_path p = Filename.remove_extension p ^ ".snap"
 let snap_header = "PROUST-SNAP1"
+
+(* Batch-size percentiles cover the last [window] batches and are
+   recomputed every [refresh_every] batches, off the wake path. *)
+let window = 1024
+let refresh_every = 64
 
 type t = {
   log_path : string;
@@ -16,7 +36,12 @@ type t = {
   cond : Condition.t;
   mutable pending : (int * Bytes.t * int) list;  (* ticket, frame, lsn; LIFO *)
   mutable next_ticket : int;
+  mutable taken : int;  (* highest ticket the flusher has taken *)
+  mutable flush_upto : int;  (* [flush]'s target: linger ends while > [taken] *)
   mutable stopping : bool;
+  mutable parked : (int * Waitq.waiter) list;  (* ascending ticket *)
+  mutable committers : int;  (* live domains that have waited here *)
+  mutable lingerer : Waitq.waiter option;  (* the flusher, mid-linger *)
   flushed : int Atomic.t;  (* every ticket <= this is on disk *)
   halted_flag : bool Atomic.t;
   io_lock : Mutex.t;  (* file writes: flusher batches vs. compaction *)
@@ -24,22 +49,89 @@ type t = {
   mutable flusher : unit Domain.t option;
   bytes_acc : int Atomic.t;
   appends_acc : int Atomic.t;
-  mutable batch_sizes : int list;  (* flusher-private percentile window *)
+  batch_sizes : int array;  (* flusher-private ring of [window] *)
+  mutable batches : int;
 }
 
 let path t = t.log_path
 let halted t = Atomic.get t.halted_flag
 let bytes_appended t = Atomic.get t.bytes_acc
 let appends t = Atomic.get t.appends_acc
+let flushed t = Atomic.get t.flushed
+
+let parked t =
+  Mutex.lock t.buf_lock;
+  let n = List.length t.parked in
+  Mutex.unlock t.buf_lock;
+  n
+
+(* [buf_lock] held for both. *)
+let linger_over t =
+  t.flush_upto > t.taken || t.stopping || halted t
+  || (t.committers > 0 && List.length t.parked >= t.committers)
+
+let nudge t =
+  match t.lingerer with
+  | Some w when linger_over t -> ignore (Waitq.wake w)
+  | _ -> ()
+
+(* Committer bookkeeping: the logs the calling domain has waited on.
+   The domain's first registration arms one [Domain.at_exit] that
+   retires it from all of them. *)
+type mine = { mutable logs : t list; mutable armed : bool }
+
+let mine_key = Domain.DLS.new_key (fun () -> { logs = []; armed = false })
+
+let retire t =
+  Mutex.lock t.buf_lock;
+  t.committers <- t.committers - 1;
+  nudge t;
+  Mutex.unlock t.buf_lock
+
+let enroll t =
+  let m = Domain.DLS.get mine_key in
+  if not (List.memq t m.logs) then begin
+    if not m.armed then begin
+      m.armed <- true;
+      Domain.at_exit (fun () -> List.iter retire m.logs)
+    end;
+    m.logs <- t :: List.filter (fun l -> not l.stopping) m.logs;
+    Mutex.lock t.buf_lock;
+    t.committers <- t.committers + 1;
+    Mutex.unlock t.buf_lock
+  end
+
+let wake_all ws = List.iter (fun (_, w) -> ignore (Waitq.wake w)) ws
 
 let halt t =
   if not (Atomic.get t.halted_flag) then begin
     Atomic.set t.halted_flag true;
     Mutex.lock t.buf_lock;
     t.pending <- [];
+    let ws = t.parked in
+    t.parked <- [];
     Condition.broadcast t.cond;
-    Mutex.unlock t.buf_lock
+    nudge t;
+    Mutex.unlock t.buf_lock;
+    wake_all ws
   end
+
+(* Detach and wake every waiter whose ticket is now durable: a prefix
+   of the ticket-ordered list.  Called only after [flushed] is
+   published. *)
+let wake_flushed t =
+  let upto = Atomic.get t.flushed in
+  let rec split = function
+    | ((tk, _) as e) :: rest when tk <= upto ->
+        let ready, rest = split rest in
+        (e :: ready, rest)
+    | rest -> ([], rest)
+  in
+  Mutex.lock t.buf_lock;
+  let ready, rest = split t.parked in
+  t.parked <- rest;
+  Mutex.unlock t.buf_lock;
+  wake_all ready
 
 let write_all fd buf pos len =
   let off = ref pos and left = ref len in
@@ -54,75 +146,98 @@ let percentile sorted p =
   | 0 -> 0
   | n -> sorted.(min (n - 1) (p * n / 100))
 
-(* One flusher round: wait for work, linger for the group-commit
-   window, take the whole buffer, write it LSN-sorted, fsync once. *)
+let publish_percentiles t =
+  if t.batches > 0 then begin
+    let sorted = Array.sub t.batch_sizes 0 (min t.batches window) in
+    Array.sort Int.compare sorted;
+    Stats.set_fsync_batch_percentiles ~p50:(percentile sorted 50)
+      ~p99:(percentile sorted 99)
+  end
+
+let note_batch t size =
+  t.batch_sizes.(t.batches mod window) <- size;
+  t.batches <- t.batches + 1;
+  if t.batches mod refresh_every = 0 then publish_percentiles t
+
+(* The group-commit window, entered and left with [buf_lock] held:
+   park until [linger_over] (the waiter that completes the set, a
+   flush, a halt or [close] wakes us) or [batch_delay] has passed. *)
+let linger t =
+  if t.batch_delay > 0. then begin
+    let deadline_ns =
+      Clock.now_mono_ns () + int_of_float (t.batch_delay *. 1e9)
+    in
+    while (not (linger_over t)) && Clock.now_mono_ns () < deadline_ns do
+      let w = Waitq.make ~counted:false () in
+      t.lingerer <- Some w;
+      Mutex.unlock t.buf_lock;
+      Parking.park_until ~deadline_ns w;
+      Mutex.lock t.buf_lock;
+      t.lingerer <- None
+    done
+  end
+
+(* Write one batch LSN-sorted, fsync once, publish, then wake. *)
+let write_batch t batch =
+  let batch = List.sort (fun (_, _, l1) (_, _, l2) -> compare l1 l2) batch in
+  let max_ticket = List.fold_left (fun m (tk, _, _) -> max m tk) 0 batch in
+  let image = Bytes.concat Bytes.empty (List.map (fun (_, f, _) -> f) batch) in
+  Mutex.lock t.io_lock;
+  let crashed =
+    match Fault.check Fault.Durable_mid_fsync with
+    | Some Fault.Crash ->
+        (* Power fails inside the batch write: a strict byte prefix
+           reaches the file, so the last frame of the prefix is
+           genuinely torn.  Everything already fsynced (and hence
+           acknowledged) is untouched. *)
+        let cut = Bytes.length image - 1 in
+        if cut > 0 then write_all t.fd image 0 cut;
+        true
+    | Some (Fault.Delay n) ->
+        Fault.spin n;
+        false
+    | _ -> false
+  in
+  if crashed then begin
+    Mutex.unlock t.io_lock;
+    halt t
+  end
+  else begin
+    write_all t.fd image 0 (Bytes.length image);
+    (* Simulated device latency: spent inside the flush cycle, so
+       appends arriving mid-sync wait for the next batch — the dynamic
+       that makes real storage reward bigger batches. *)
+    if t.fsync_delay > 0. then Unix.sleepf t.fsync_delay;
+    Unix.fsync t.fd;
+    Mutex.unlock t.io_lock;
+    Stats.record_fsync_batch ();
+    (* Publish after the fsync: a ticket is durable only once its whole
+       batch is on disk.  Wake only after publishing. *)
+    Atomic.set t.flushed max_ticket;
+    (match Fault.check Fault.Durable_pre_wake with
+    | Some Fault.Crash -> halt t
+    | Some (Fault.Delay n) -> Fault.spin n
+    | _ -> ());
+    wake_flushed t;
+    note_batch t (List.length batch)
+  end
+
+(* One flusher round: wait for work, linger, take the whole buffer,
+   write it. *)
 let rec flusher_loop t =
   Mutex.lock t.buf_lock;
-  while t.pending = [] && not t.stopping && not (Atomic.get t.halted_flag) do
+  while t.pending = [] && (not t.stopping) && not (halted t) do
     Condition.wait t.cond t.buf_lock
   done;
-  let stop = (t.stopping && t.pending = []) || Atomic.get t.halted_flag in
+  linger t;
+  let batch = if halted t then [] else t.pending in
+  t.pending <- [];
+  t.taken <- t.next_ticket - 1;
   Mutex.unlock t.buf_lock;
-  if not stop then begin
-    if t.batch_delay > 0. then Unix.sleepf t.batch_delay;
-    Mutex.lock t.buf_lock;
-    let batch = t.pending in
-    t.pending <- [];
-    Mutex.unlock t.buf_lock;
-    (match batch with
-    | [] -> ()
-    | batch ->
-        let batch =
-          List.sort (fun (_, _, l1) (_, _, l2) -> compare l1 l2) batch
-        in
-        let max_ticket =
-          List.fold_left (fun m (tk, _, _) -> max m tk) 0 batch
-        in
-        let image =
-          Bytes.concat Bytes.empty (List.map (fun (_, f, _) -> f) batch)
-        in
-        Mutex.lock t.io_lock;
-        let crashed =
-          match Fault.check Fault.Durable_mid_fsync with
-          | Some Fault.Crash ->
-              (* Power fails inside the batch write: a strict byte
-                 prefix reaches the file, so the last frame of the
-                 prefix is genuinely torn.  Everything already fsynced
-                 (and hence acknowledged) is untouched. *)
-              let cut = Bytes.length image - 1 in
-              if cut > 0 then write_all t.fd image 0 cut;
-              true
-          | Some (Fault.Delay n) ->
-              Fault.spin n;
-              false
-          | _ -> false
-        in
-        if crashed then begin
-          Mutex.unlock t.io_lock;
-          halt t
-        end
-        else begin
-          write_all t.fd image 0 (Bytes.length image);
-          (* Simulated device latency: spent inside the flush cycle, so
-             appends arriving mid-sync wait for the next batch — the
-             dynamic that makes real storage reward bigger batches. *)
-          if t.fsync_delay > 0. then Unix.sleepf t.fsync_delay;
-          Unix.fsync t.fd;
-          Mutex.unlock t.io_lock;
-          (* Publish after the fsync: a ticket is durable only once its
-             whole batch is on disk. *)
-          Atomic.set t.flushed max_ticket;
-          Stats.record_fsync_batch ();
-          t.batch_sizes <- List.length batch :: t.batch_sizes;
-          (match t.batch_sizes with
-          | sizes when List.length sizes > 1024 ->
-              t.batch_sizes <- List.filteri (fun i _ -> i < 1024) sizes
-          | _ -> ());
-          let sorted = Array.of_list t.batch_sizes in
-          Array.sort compare sorted;
-          Stats.set_fsync_batch_percentiles ~p50:(percentile sorted 50)
-            ~p99:(percentile sorted 99)
-        end);
+  (* Empty only when stopping or halted. *)
+  if batch = [] then publish_percentiles t
+  else begin
+    write_batch t batch;
     flusher_loop t
   end
 
@@ -154,7 +269,12 @@ let create ?(batch_delay = 0.) ?(fsync_delay = 0.) ~path:log_path () =
       cond = Condition.create ();
       pending = [];
       next_ticket = 1;
+      taken = 0;
+      flush_upto = 0;
       stopping = false;
+      parked = [];
+      committers = 0;
+      lingerer = None;
       flushed = Atomic.make 0;
       halted_flag = Atomic.make false;
       io_lock = Mutex.create ();
@@ -162,7 +282,8 @@ let create ?(batch_delay = 0.) ?(fsync_delay = 0.) ~path:log_path () =
       flusher = None;
       bytes_acc = Atomic.make 0;
       appends_acc = Atomic.make 0;
-      batch_sizes = [];
+      batch_sizes = Array.make window 0;
+      batches = 0;
     }
   in
   t.flusher <- Some (Domain.spawn (fun () -> flusher_loop t));
@@ -206,46 +327,61 @@ let append t ~fmt ~lsn payload =
               Some ticket
         end)
 
-let wait_durable ?deadline t ticket =
-  if Atomic.get t.flushed >= ticket then true
-  else begin
-    let b = Backoff.create ~ceiling:8 () in
-    let until_ns =
-      match deadline with
-      | None -> 0
-      | Some d -> int_of_float (d *. 1e9)
-    in
-    let rec loop () =
-      if Atomic.get t.flushed >= ticket then true
-      else if Atomic.get t.halted_flag then false
-      else if
-        match deadline with
-        | Some d -> Clock.now_mono () >= d
-        | None -> false
-      then false
-      else begin
-        Backoff.once ~until_ns b;
-        loop ()
-      end
-    in
-    loop ()
-  end
+let rec insert ((tk, _) as e) = function
+  | ((tk', _) as e') :: rest when tk' < tk -> e' :: insert e rest
+  | l -> e :: l
 
-let flush t =
-  let target =
-    Mutex.lock t.buf_lock;
-    let tk = t.next_ticket - 1 in
-    Condition.signal t.cond;
+(* Park until [ticket] is durable, the log halts or [deadline_ns]
+   (0 = none) passes; the answer is the watermark. *)
+let await t ~deadline_ns ticket =
+  Mutex.lock t.buf_lock;
+  if
+    Atomic.get t.flushed >= ticket
+    || halted t
+    || (deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns)
+  then Mutex.unlock t.buf_lock
+  else begin
+    let w = Waitq.make ~counted:false () in
+    t.parked <- insert (ticket, w) t.parked;
+    nudge t;
     Mutex.unlock t.buf_lock;
-    tk
+    Parking.park_until ~deadline_ns w;
+    if deadline_ns <> 0 then begin
+      (* The flusher and [halt] detach before waking; only an expiry
+         leaves the entry behind. *)
+      Mutex.lock t.buf_lock;
+      t.parked <- List.filter (fun (_, x) -> x != w) t.parked;
+      Mutex.unlock t.buf_lock
+    end
+  end;
+  Atomic.get t.flushed >= ticket
+
+let wait_durable ?deadline t ticket =
+  enroll t;
+  Atomic.get t.flushed >= ticket
+  ||
+  let deadline_ns =
+    match deadline with None -> 0 | Some d -> int_of_float (d *. 1e9)
   in
-  if target > 0 then ignore (wait_durable t target)
+  await t ~deadline_ns ticket
+
+(* Not a committer wait: the caller is not enrolled, and the flusher
+   skips the linger for everything up to [target]. *)
+let flush t =
+  Mutex.lock t.buf_lock;
+  let target = t.next_ticket - 1 in
+  t.flush_upto <- max t.flush_upto target;
+  nudge t;
+  Condition.signal t.cond;
+  Mutex.unlock t.buf_lock;
+  if target > 0 then ignore (await t ~deadline_ns:0 target)
 
 let close t =
   flush t;
   Mutex.lock t.buf_lock;
   t.stopping <- true;
   Condition.broadcast t.cond;
+  nudge t;
   Mutex.unlock t.buf_lock;
   (match t.flusher with
   | Some d ->

@@ -12,9 +12,11 @@
     is as close to replay order as batching allows.
 
     Crash injection: the {!Fault} durability points are consulted
-    inside [append], the flusher's batch write, and [compact].  A drawn
+    inside [append], the flusher's batch write, the flusher's
+    publish-to-wake window and [compact].  A drawn
     [Crash] {!halt}s the log — pending appends are dropped, subsequent
-    appends are refused, flush waits return [false] — while the file
+    appends are refused, parked flush waits are woken and return
+    [false] unless their ticket was already durable — while the file
     keeps whatever had already been written, including (at
     [Durable_mid_fsync]) a deliberate byte-prefix of the in-flight
     batch that tears its last frame exactly as a power failure
@@ -24,15 +26,18 @@ type t
 
 (** [create ~path ()] opens (or creates) the log at [path], validating
     or writing the file header, and starts the flusher domain.
-    [batch_delay] seconds (default 0) makes the flusher linger after
-    waking so concurrent committers accumulate into one fsync — the
-    group-commit knob the durability bench sweeps.  [fsync_delay]
-    seconds (default 0) simulates device latency: the flusher sleeps
-    that long inside each flush cycle, after taking the buffer, so
-    appends arriving mid-sync wait for the next batch — the dynamic
-    that makes real storage reward bigger batches.  The combining
-    bench uses it to model a disk whose sync round-trip dwarfs the
-    in-memory commit path. *)
+    [batch_delay] seconds (default 0) is the longest the flusher
+    lingers after waking so concurrent committers accumulate into one
+    fsync — the group-commit knob the durability bench sweeps.  The
+    linger ends early once every committer of the log (a domain that
+    has called {!wait_durable} on it and not yet exited) is parked in
+    {!wait_durable}, or when {!flush}, {!close} or {!compact} asks for
+    the buffer.  [fsync_delay] seconds (default 0) simulates device
+    latency: the flusher sleeps that long inside each flush cycle,
+    after taking the buffer, so appends arriving mid-sync wait for the
+    next batch — the dynamic that makes real storage reward bigger
+    batches.  The combining bench uses it to model a disk whose sync
+    round-trip dwarfs the in-memory commit path. *)
 val create :
   ?batch_delay:float -> ?fsync_delay:float -> path:string -> unit -> t
 
@@ -44,17 +49,29 @@ val path : t -> string
     not survive recovery). *)
 val append : t -> fmt:Frame.format -> lsn:int -> string -> int option
 
-(** [wait_durable t ?deadline ticket] blocks until the batch containing
-    [ticket] is fsynced.  [deadline] is an absolute {!Clock.now_mono}
-    point in seconds ({!Stm.atomic}-style); returns [false] on deadline
-    expiry or when the log halts first. *)
+(** [wait_durable t ?deadline ticket] parks the calling domain until
+    the batch containing [ticket] is fsynced, and makes the domain a
+    committer of [t] (see {!create}) until it exits.  [deadline] is an
+    absolute {!Clock.now_mono} point in seconds ({!Stm.atomic}-style),
+    honoured by the {!Parking} deadline timer; returns [false] on
+    deadline expiry or when the log halts first.  [true] means
+    [ticket <= flushed t] held when the wait returned. *)
 val wait_durable : ?deadline:float -> t -> int -> bool
 
-(** Drain and fsync everything currently buffered (no-op when halted). *)
+(** Every ticket at or below this is on disk. *)
+val flushed : t -> int
+
+(** Waits currently parked on the log; 0 once they have all returned. *)
+val parked : t -> int
+
+(** Drain and fsync everything currently buffered, ending any linger
+    at once (no-op when halted).  Does not make the caller a
+    committer. *)
 val flush : t -> unit
 
 (** Simulated power failure: drop pending appends, refuse new ones,
-    fail all flush waits, stop the flusher.  Idempotent.  The file is
+    wake every parked wait (each returns [false] unless its ticket was
+    already durable), stop the flusher.  Idempotent.  The file is
     left exactly as the flusher last wrote it. *)
 val halt : t -> unit
 

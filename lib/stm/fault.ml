@@ -9,6 +9,7 @@ type point =
   | Durable_post_append
   | Durable_mid_fsync
   | Durable_mid_compaction
+  | Durable_pre_wake
   | Pre_park
   | Post_unpark
   | Commit_wake
@@ -26,6 +27,7 @@ let point_name = function
   | Durable_post_append -> "durable-post-append"
   | Durable_mid_fsync -> "durable-mid-fsync"
   | Durable_mid_compaction -> "durable-mid-compaction"
+  | Durable_pre_wake -> "durable-pre-wake"
   | Pre_park -> "pre-park"
   | Post_unpark -> "post-unpark"
   | Commit_wake -> "commit-wake"
@@ -44,6 +46,7 @@ let all_points =
     Durable_post_append;
     Durable_mid_fsync;
     Durable_mid_compaction;
+    Durable_pre_wake;
     Pre_park;
     Post_unpark;
     Commit_wake;
@@ -67,8 +70,9 @@ let point_index = function
   | Commit_wake -> 12
   | Version_gc -> 13
   | Combine_handoff -> 14
+  | Durable_pre_wake -> 15
 
-let n_points = 15
+let n_points = 16
 
 type action = Delay of int | Abort | Kill | Wedge | Crash
 type site = { prob : float; actions : action list }

@@ -33,6 +33,13 @@ type point =
           here tears the log tail mid-frame *)
   | Durable_mid_compaction
       (** between the steps of snapshot+truncate compaction *)
+  | Durable_pre_wake
+      (** in the redo-log flusher, after a batch is fsynced and the
+          durable watermark published, before the parked waiters are
+          woken — the publish-then-wake window.  A [Delay] widens it
+          (a waiter that registers there must still see the new
+          watermark); a [Crash] halts the log with the batch on disk
+          but unacknowledged *)
   | Pre_park
       (** in {!Parking}, after a retrying transaction registered on its
           read-set wait lists and revalidated, just before blocking —

@@ -125,6 +125,15 @@ module Timer = struct
     Mutex.unlock mu
 end
 
+let timer_slice = Timer.slice
+
+(* Block on [w] until it is woken or, when [deadline_ns <> 0], the
+   timer expires it at the deadline. *)
+let park_until ~deadline_ns w =
+  if deadline_ns <> 0 then Timer.register w ~deadline_ns;
+  Waitq.park w;
+  if deadline_ns <> 0 then Timer.cancel w
+
 (* ------------------------------------------------------------------ *)
 (* The two waits                                                        *)
 
@@ -169,10 +178,8 @@ let park_wait ~deadline_ns entries =
         ignore (Waitq.cancel w)
     | None -> ());
     if Waitq.is_waiting w then begin
-      if deadline_ns <> 0 then Timer.register w ~deadline_ns;
       Stats.record_park ();
-      Waitq.park w;
-      if deadline_ns <> 0 then Timer.cancel w;
+      park_until ~deadline_ns w;
       (* Wakeup latency: commit-side publication stamp (see
          [Waitq.wake]) to this resume.  Timer expiries leave the stamp
          at 0 and are not samples. *)

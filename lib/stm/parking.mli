@@ -36,6 +36,17 @@ val changed : watch -> bool
     non-empty; the caller re-attempts and re-blocks as needed. *)
 val await : deadline_ns:int -> watch list -> unit
 
+(** [park_until ~deadline_ns w] blocks on [w] until it is woken or,
+    when [deadline_ns <> 0], the deadline timer expires it at that
+    absolute {!Clock.now_mono_ns} point (at most one {!timer_slice}
+    late).  The primitive beneath {!await}; the redo log parks its
+    durable waiters and its flusher's linger with it. *)
+val park_until : deadline_ns:int -> Waitq.waiter -> unit
+
+(** The deadline timer's longest sleep, seconds: a registration that
+    undercuts the current sleep fires at most this late. *)
+val timer_slice : float
+
 (** Detach and wake everything parked on [tv].  Call only after the
     new version is published. *)
 val wake_tvar : Rwset.packed_tvar -> unit

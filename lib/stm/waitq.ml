@@ -10,6 +10,11 @@ type lot = { mu : Mutex.t; cv : Condition.t }
 
 type waiter = {
   w_lot : lot;
+  w_counted : bool;
+      (* a tvar-retry waiter: moves the [live] count and the park/wake
+         stats.  Redo-log durable waiters and the flusher's linger
+         share the lot and the state machine but not the accounting —
+         [Parking.have_waiters] must keep meaning "a retry is parked". *)
   w_state : state Atomic.t;
   w_wake_ns : int Atomic.t;
       (* commit-side wake-publication timestamp (0 = none): stamped by
@@ -35,9 +40,10 @@ let live = Atomic.make 0
 
 let live_waiters () = Atomic.get live
 
-let make () =
+let make ?(counted = true) () =
   {
     w_lot = Domain.DLS.get lot_key;
+    w_counted = counted;
     w_state = Atomic.make Waiting;
     w_wake_ns = Atomic.make 0;
   }
@@ -46,7 +52,7 @@ let is_waiting w = Atomic.get w.w_state = Waiting
 
 (* Register the waiter in the live count.  Called once, after the
    waiter is published on every wait list it watches. *)
-let enlist _w = Atomic.incr live
+let enlist w = if w.w_counted then Atomic.incr live
 
 (* The single Waiting -> final transition: whoever wins the CAS owns
    the [live] decrement, so wake/cancel/expire racing each other (a
@@ -54,7 +60,7 @@ let enlist _w = Atomic.incr live
    can all fire at once) settle to exactly one transition. *)
 let finish w next =
   if Atomic.compare_and_set w.w_state Waiting next then begin
-    Atomic.decr live;
+    if w.w_counted then Atomic.decr live;
     true
   end
   else false
@@ -75,10 +81,10 @@ let wake w =
      losing stamp is harmless (the parker only reads it after a Woken
      observation, and a raced [expire] win just yields one spurious
      sample). *)
-  if Proust_obs.Metrics.enabled () then
+  if w.w_counted && Proust_obs.Metrics.enabled () then
     Atomic.set w.w_wake_ns (Proust_obs.Trace.now_ns ());
   if finish w Woken then begin
-    Stats.record_wakeup ();
+    if w.w_counted then Stats.record_wakeup ();
     signal w;
     true
   end
@@ -107,6 +113,7 @@ let park w =
   Mutex.lock w.w_lot.mu;
   while Atomic.get w.w_state = Waiting do
     Condition.wait w.w_lot.cv w.w_lot.mu;
-    if Atomic.get w.w_state = Waiting then Stats.record_spurious_wakeup ()
+    if w.w_counted && Atomic.get w.w_state = Waiting then
+      Stats.record_spurious_wakeup ()
   done;
   Mutex.unlock w.w_lot.mu

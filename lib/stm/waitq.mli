@@ -15,13 +15,18 @@ type lot = { mu : Mutex.t; cv : Condition.t }
 
 type waiter = {
   w_lot : lot;
+  w_counted : bool;  (** see {!make} *)
   w_state : state Atomic.t;
   w_wake_ns : int Atomic.t;
       (** commit-wake publication timestamp, 0 = none (see {!wake_ns}) *)
 }
 
-(** Fresh waiter bound to the calling domain's parking lot. *)
-val make : unit -> waiter
+(** Fresh waiter bound to the calling domain's parking lot.  With
+    [~counted:false] (default [true]) the waiter is invisible to
+    {!live_waiters} and to the [parks]/[wakeups]/[spurious_wakeups]
+    stats: the redo log parks durable waiters this way, so they never
+    trip the commit path's retry-wake fast path. *)
+val make : ?counted:bool -> unit -> waiter
 
 val is_waiting : waiter -> bool
 

@@ -351,12 +351,12 @@ let test_seeded_determinism () =
       let a = draw () and b = draw () in
       check cb "same seed, same schedule" true (a = b))
 
-(* Every injection point (the four durability points included) must be
+(* Every injection point (the five durability points included) must be
    enumerable with a distinct, nonempty name — the bench/CI fault
    matrix keys on these. *)
 let test_point_names () =
   let names = List.map Fault.point_name Fault.all_points in
-  check ci "fifteen injection points" 15 (List.length names);
+  check ci "sixteen injection points" 16 (List.length names);
   List.iter (fun n -> check cb ("nonempty: " ^ n) true (n <> "")) names;
   check ci "names are distinct" (List.length names)
     (List.length (List.sort_uniq compare names))

@@ -184,6 +184,175 @@ let test_map_commit_recover fmt () =
       check cbindings "recovered contents" before (map_contents fresh ~keys))
 
 (* ------------------------------------------------------------------ *)
+(* Parked waits and the committer-aware linger                         *)
+
+let append1 log =
+  match D.Redo_log.append log ~fmt:D.Frame.Value ~lsn:1 "x" with
+  | Some tk -> tk
+  | None -> Alcotest.fail "append refused"
+
+let since t0 = Clock.now_mono () -. t0
+
+(* [n] domains each append once, meet, then wait for their ticket:
+   every record is buffered before anyone parks, so the batch the
+   first park releases holds them all.  Returns the seconds from the
+   first append to the last ack, and the acks. *)
+let commit_once log n =
+  let t0 = Clock.now_mono () in
+  let meet = W.Runner.barrier n in
+  let acks =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            let tk = append1 log in
+            meet ();
+            D.Redo_log.wait_durable log tk))
+    |> List.map Domain.join
+  in
+  (since t0, acks)
+
+(* A domain that waits once on [log] and then idles, alive, until
+   [release] is called. *)
+let idle_committer log =
+  let go = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        ignore (D.Redo_log.wait_durable log (append1 log));
+        while not (Atomic.get go) do
+          Unix.sleepf 0.001
+        done)
+  in
+  (* Registered once its wait has returned. *)
+  while D.Redo_log.flushed log < 1 do
+    Unix.sleepf 0.001
+  done;
+  fun () ->
+    Atomic.set go true;
+    Domain.join d
+
+let test_linger_ends_when_all_parked () =
+  D.Temp.with_file (fun path ->
+      let log = D.Redo_log.create ~batch_delay:10. ~path () in
+      let before = Stats.read () in
+      let dt, acks = commit_once log 2 in
+      D.Redo_log.close log;
+      let d = Stats.diff before (Stats.read ()) in
+      check (Alcotest.list cb) "both acked" [ true; true ] acks;
+      check cb
+        (Printf.sprintf "acked in %.3f s, well inside the 10 s linger" dt)
+        true (dt < 1.);
+      check ci "one fsync batch" 1 d.Stats.fsync_batches)
+
+let test_idle_committer_keeps_linger () =
+  D.Temp.with_file (fun path ->
+      let delay = 0.2 in
+      let log = D.Redo_log.create ~batch_delay:delay ~path () in
+      let release = idle_committer log in
+      let dt, acks = commit_once log 2 in
+      check (Alcotest.list cb) "acked behind the idle committer" [ true; true ]
+        acks;
+      check cb
+        (Printf.sprintf "full linger kept (%.3f s)" dt)
+        true (dt >= delay);
+      release ();
+      let dt, acks = commit_once log 2 in
+      check (Alcotest.list cb) "acked after it exited" [ true; true ] acks;
+      check cb (Printf.sprintf "early again once it exited (%.3f s)" dt) true
+        (dt < delay /. 2.);
+      D.Redo_log.close log)
+
+(* The timer fires a deadline at most one slice late, but on a loaded
+   host the expired domain can wait longer than that for a core; a
+   wait held by the 5 s linger instead would miss every attempt. *)
+let test_deadline_wait_leaves_no_entry () =
+  D.Temp.with_file (fun path ->
+      let log = D.Redo_log.create ~batch_delay:5. ~path () in
+      let release = idle_committer log in
+      let attempt () =
+        let ok, late =
+          Domain.join
+            (Domain.spawn (fun () ->
+                 let tk = append1 log in
+                 let deadline = Clock.now_mono () +. 0.05 in
+                 let ok = D.Redo_log.wait_durable ~deadline log tk in
+                 (ok, Clock.now_mono () -. deadline)))
+        in
+        check cb "deadline wait fails" false ok;
+        check cb "not before its deadline" true (late >= 0.);
+        check ci "no parked entry left" 0 (D.Redo_log.parked log);
+        late
+      in
+      let rec within_a_slice tries =
+        let late = attempt () in
+        if late >= Parking.timer_slice then
+          if tries > 1 then within_a_slice (tries - 1)
+          else
+            Alcotest.failf
+              "no attempt returned within one timer slice (last %.2f ms late)"
+              (late *. 1e3)
+      in
+      within_a_slice 3;
+      release ();
+      D.Redo_log.close log)
+
+let test_halt_wakes_parked () =
+  D.Temp.with_file (fun path ->
+      let log = D.Redo_log.create ~batch_delay:5. ~path () in
+      let release = idle_committer log in
+      let t0 = Clock.now_mono () in
+      let waiter =
+        Domain.spawn (fun () -> D.Redo_log.wait_durable log (append1 log))
+      in
+      while D.Redo_log.parked log = 0 do
+        Unix.sleepf 0.001
+      done;
+      D.Redo_log.halt log;
+      check cb "a halted wait returns false" false (Domain.join waiter);
+      check cb "woken by the halt, not the linger" true (since t0 < 1.);
+      check ci "no parked entry left" 0 (D.Redo_log.parked log);
+      release ();
+      D.Redo_log.close log)
+
+let test_flush_ends_linger () =
+  D.Temp.with_file (fun path ->
+      let log = D.Redo_log.create ~batch_delay:5. ~path () in
+      let tk = append1 log in
+      let t0 = Clock.now_mono () in
+      D.Redo_log.flush log;
+      let dt = since t0 in
+      check cb (Printf.sprintf "flush returned in %.3f s" dt) true (dt < 1.);
+      check cb "flushed" true (D.Redo_log.flushed log >= tk);
+      check clist_i "record on disk" [ 1 ]
+        (D.Recovery.replayed_lsns (D.Recovery.run path));
+      D.Redo_log.close log)
+
+(* Publish-then-wake, with the window between the two held open by a
+   [Delay] at [Durable_pre_wake]: every wait still returns, and a
+   [true] always means the watermark covers the ticket.  A flusher
+   that woke before publishing would hand its waiters a watermark
+   below their ticket here. *)
+let test_wake_after_publish () =
+  D.Temp.with_file (fun path ->
+      let log = D.Redo_log.create ~path () in
+      Fault.configure
+        [
+          ( Fault.Durable_pre_wake,
+            { Fault.prob = 1.; actions = [ Fault.Delay 200_000 ] } );
+        ];
+      Fun.protect ~finally:Fault.disable (fun () ->
+          spawn_all 2 (fun _ ->
+              for _ = 1 to 20 do
+                let tk = append1 log in
+                let deadline = Clock.now_mono () +. 5. in
+                let ok = D.Redo_log.wait_durable ~deadline log tk in
+                let upto = D.Redo_log.flushed log in
+                if not (ok && upto >= tk) then
+                  Alcotest.failf "ticket %d: wait %b with flushed = %d" tk ok
+                    upto
+              done));
+      check ci "no parked entry left" 0 (D.Redo_log.parked log);
+      D.Redo_log.close log)
+
+(* ------------------------------------------------------------------ *)
 (* Compaction                                                          *)
 
 let test_compaction () =
@@ -268,16 +437,12 @@ let test_compaction_crash () =
 (* ------------------------------------------------------------------ *)
 (* The crash-point matrix                                              *)
 
-let test_crash_matrix point fmt () =
-  with_seed_note @@ fun () ->
+let crash_cell point cfg =
   D.Temp.with_file (fun path ->
       let cfg =
         {
-          W.Recovery_runner.default_config with
-          W.Recovery_runner.seed =
-            sub_seed (Hashtbl.hash (Fault.point_name point, fmt));
-          fmt;
-          crash_point = Some point;
+          cfg with
+          W.Recovery_runner.crash_point = Some point;
           crash_prob = 0.1;
         }
       in
@@ -291,6 +456,31 @@ let test_crash_matrix point fmt () =
       with
       | Ok () -> ()
       | Error msg -> Alcotest.fail msg)
+
+let test_crash_matrix point fmt () =
+  with_seed_note @@ fun () ->
+  crash_cell point
+    {
+      W.Recovery_runner.default_config with
+      W.Recovery_runner.seed =
+        sub_seed (Hashtbl.hash (Fault.point_name point, fmt));
+      fmt;
+    }
+
+(* The same crash points behind a 2 ms linger, so a halt lands while
+   committers are parked on the wait list.  The run returning at all
+   means the halt woke every one of them; the recovery check means no
+   wake that answered [true] was for a lost record. *)
+let test_linger_crash_matrix point () =
+  with_seed_note @@ fun () ->
+  crash_cell point
+    {
+      W.Recovery_runner.default_config with
+      W.Recovery_runner.seed =
+        sub_seed (Hashtbl.hash ("linger", Fault.point_name point));
+      fmt = D.Frame.Intent;
+      batch_delay = 0.002;
+    }
 
 let test_clean_run_verifies fmt () =
   with_seed_note @@ fun () ->
@@ -496,6 +686,16 @@ let suite =
     test "durable map recovers (value)" (test_map_commit_recover D.Frame.Value);
     test "durable map recovers (intent)"
       (test_map_commit_recover D.Frame.Intent);
+    test "flush ends the linger at once" test_flush_ends_linger;
+    test "linger ends once every committer is parked"
+      test_linger_ends_when_all_parked;
+    test "an idle committer keeps the full linger"
+      test_idle_committer_keeps_linger;
+    test "deadline wait behind a linger leaves no entry"
+      test_deadline_wait_leaves_no_entry;
+    test "halt wakes parked waits with false" test_halt_wakes_parked;
+    test "waiters wake only after the watermark is published"
+      test_wake_after_publish;
     test "compaction drops the folded prefix" test_compaction;
     slow "compaction racing a crash" test_compaction_crash;
     slow "crash matrix: pre-append x value"
@@ -510,6 +710,14 @@ let suite =
       (test_crash_matrix Fault.Durable_mid_fsync D.Frame.Value);
     slow "crash matrix: mid-fsync x intent"
       (test_crash_matrix Fault.Durable_mid_fsync D.Frame.Intent);
+    slow "crash matrix: pre-append, 2 ms linger"
+      (test_linger_crash_matrix Fault.Durable_pre_append);
+    slow "crash matrix: post-append, 2 ms linger"
+      (test_linger_crash_matrix Fault.Durable_post_append);
+    slow "crash matrix: mid-fsync, 2 ms linger"
+      (test_linger_crash_matrix Fault.Durable_mid_fsync);
+    slow "crash matrix: pre-wake, 2 ms linger"
+      (test_linger_crash_matrix Fault.Durable_pre_wake);
     slow "crash matrix: mid-fsync x value, group commit"
       (test_combining_crash_matrix D.Frame.Value);
     slow "crash matrix: mid-fsync x intent, group commit"
