@@ -11,7 +11,7 @@ type ('k, 'v) t
 
 (** [create ()] uses [Hashtbl.hash] and structural equality;
     [stripes] is rounded up to a power of two (default 32). *)
-val create : ?stripes:int -> ?hash:('k -> int) -> unit -> ('k, 'v) t
+val create : ?stripes:int -> unit -> ('k, 'v) t
 
 val get : ('k, 'v) t -> 'k -> 'v option
 val contains : ('k, 'v) t -> 'k -> bool
@@ -41,3 +41,7 @@ val clear : ('k, 'v) t -> unit
 
 (** Point-in-time-per-stripe association list (tests/debugging). *)
 val bindings : ('k, 'v) t -> ('k * 'v) list
+
+(** Longest bucket chain over all stripes' tables, each read under its
+    stripe's lock (diagnostics: how well keys spread). *)
+val max_bucket_length : ('k, 'v) t -> int

@@ -39,17 +39,24 @@ let group_accesses ~width ~base ~stripe intent =
     [ { slot = base + (abs stripe mod width); write = true } ]
   else List.init width (fun i -> { slot = base + i; write = false })
 
-let accesses_for t ~stripe intents =
+let merge accesses =
   let strongest = Hashtbl.create 8 in
   List.iter
-    (fun intent ->
-      List.iter
-        (fun a ->
-          match Hashtbl.find_opt strongest a.slot with
-          | Some true -> ()
-          | Some false -> if a.write then Hashtbl.replace strongest a.slot true
-          | None -> Hashtbl.replace strongest a.slot a.write)
-        (t.accesses ~stripe intent))
-    intents;
+    (fun a ->
+      match Hashtbl.find_opt strongest a.slot with
+      | Some true -> ()
+      | Some false -> if a.write then Hashtbl.replace strongest a.slot true
+      | None -> Hashtbl.replace strongest a.slot a.write)
+    accesses;
   Hashtbl.fold (fun slot write acc -> { slot; write } :: acc) strongest []
   |> List.sort (fun a b -> compare a.slot b.slot)
+
+(* One intent naming at most one slot (every map get/put/remove) is
+   already de-duplicated and ordered, so it skips the table and sort. *)
+let accesses_for t ~stripe intents =
+  match intents with
+  | [ intent ] -> (
+      match t.accesses ~stripe intent with
+      | ([] | [ _ ]) as accesses -> accesses
+      | accesses -> merge accesses)
+  | _ -> merge (List.concat_map (t.accesses ~stripe) intents)

@@ -53,6 +53,10 @@ val coarse : unit -> 'k t
     multiple-writers-or-multiple-readers elements. *)
 val group_accesses : width:int -> base:int -> stripe:int -> 'k Intent.t -> access list
 
-(** [accesses_for t ~stripe intents] concatenates and de-duplicates
-    accesses, keeping the strongest mode per slot, in slot order. *)
+(** [merge accesses] de-duplicates [accesses], keeping the strongest
+    mode per slot, in slot order. *)
+val merge : access list -> access list
+
+(** [accesses_for t ~stripe intents] is [merge] of every intent's
+    accesses. *)
 val accesses_for : 'k t -> stripe:int -> 'k Intent.t list -> access list

@@ -175,6 +175,35 @@ let test_chashmap_concurrent () =
       done);
   check ci "all removed" 0 (C.Chashmap.size m)
 
+(* A stripe's [Hashtbl] picks buckets from the low bits of
+   [Hashtbl.hash k]; a stripe chosen by those same bits would crowd its
+   keys into one bucket in 32.  Chains must stay within twice those of
+   one unstriped table holding the same keys. *)
+let test_chashmap_bucket_spread () =
+  List.iter
+    (fun n ->
+      let m = C.Chashmap.create () and unstriped = Hashtbl.create 16 in
+      for k = 0 to n - 1 do
+        ignore (C.Chashmap.put m k ());
+        Hashtbl.replace unstriped k ()
+      done;
+      let reference = (Hashtbl.stats unstriped).max_bucket_length in
+      let longest = C.Chashmap.max_bucket_length m in
+      if longest > 2 * reference then
+        Alcotest.failf "%d keys: longest chain %d, unstriped table's %d" n
+          longest reference)
+    [ 1_024; 100_000 ]
+
+let test_chashmap_raise_unlocks () =
+  let m = C.Chashmap.create () in
+  ignore (C.Chashmap.put m 1 10);
+  (match C.Chashmap.compute m 1 (fun _ -> raise Exit) with
+  | _ -> Alcotest.fail "compute swallowed the callback's exception"
+  | exception Exit -> ());
+  check copt_i "stripe unlocked: put of the same key" (Some 10)
+    (C.Chashmap.put m 1 11);
+  check copt_i "put applied" (Some 11) (C.Chashmap.get m 1)
+
 (* ------------------------------------------------------------------ *)
 (* Hamt (property-tested against Stdlib Map)                            *)
 
@@ -471,6 +500,8 @@ let suite =
     test "chashmap compute" test_chashmap_compute;
     test "chashmap fold/clear" test_chashmap_fold_clear;
     slow "chashmap concurrent" test_chashmap_concurrent;
+    test "chashmap bucket spread" test_chashmap_bucket_spread;
+    test "chashmap unlocks when compute raises" test_chashmap_raise_unlocks;
     qcheck "hamt matches Map model" hamt_ops_gen prop_hamt_model;
     qcheck "hamt well-formed" hamt_ops_gen prop_hamt_well_formed;
     test "hamt collision buckets" test_hamt_collisions;

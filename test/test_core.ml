@@ -89,6 +89,24 @@ let test_ca_group () =
   check clist_i "band slots" [ 1; 2; 3; 4 ]
     (List.map (fun a -> a.Conflict_abstraction.slot) reads)
 
+(* A single intent naming at most one slot skips [merge]; the answer
+   must be the one [merge] gives.  [exact] over [group_accesses] with
+   width > 1 has multi-slot reads, which still take [merge]. *)
+let prop_ca_single_intent (choice, stripe, write, key) =
+  let ca =
+    match choice with
+    | 0 -> Conflict_abstraction.striped ~slots:16 ()
+    | 1 -> Conflict_abstraction.indexed ~slots:8 ~index:(fun k -> k mod 8)
+    | 2 -> Conflict_abstraction.coarse ()
+    | c ->
+        let width = c - 2 in
+        Conflict_abstraction.exact ~slots:(1 + width)
+          (Conflict_abstraction.group_accesses ~width ~base:1)
+  in
+  let intent = if write then Intent.Write key else Intent.Read key in
+  Conflict_abstraction.accesses_for ca ~stripe [ intent ]
+  = Conflict_abstraction.merge (ca.Conflict_abstraction.accesses ~stripe intent)
+
 (* ------------------------------------------------------------------ *)
 (* Lock allocators                                                      *)
 
@@ -563,6 +581,9 @@ let suite =
     test "ca indexed bounds" test_ca_indexed_bounds;
     test "ca coarse" test_ca_coarse;
     test "ca group accesses" test_ca_group;
+    qcheck "ca single-intent fast path matches merge"
+      QCheck2.Gen.(quad (0 -- 6) (0 -- 1_000) bool (0 -- 1_000))
+      prop_ca_single_intent;
     test "pessimistic releases on commit" test_pessimistic_releases_on_commit;
     test "pessimistic releases on abort" test_pessimistic_releases_on_abort;
     slow "pessimistic excludes writers" test_pessimistic_blocks_conflicting;
