@@ -5,16 +5,21 @@ let strategy t = t.strategy
 let lap_kind t = t.lap.Lock_allocator.kind
 
 (* Trace tap: one atomic load when tracing is off. *)
-let obs_acquire txn intents =
+let obs_acquire txn n =
   if Proust_obs.Gate.get () land Proust_obs.Gate.trace_bit <> 0 then
     Proust_obs.Trace.emit
       ~tick:(Clock.now Clock.global)
       ~txn:(Stm.desc txn).Txn_desc.id
-      (Proust_obs.Trace.Alock_acquire { intents = List.length intents })
+      (Proust_obs.Trace.Alock_acquire { intents = n })
+
+let acquire_key t txn k ~write =
+  t.lap.Lock_allocator.acquire_key txn k ~write;
+  obs_acquire txn 1;
+  Stm.chaos_point txn Fault.Abstract_lock_acquire
 
 let apply t txn intents ?inverse f =
   t.lap.Lock_allocator.acquire txn intents;
-  obs_acquire txn intents;
+  obs_acquire txn (List.length intents);
   Stm.chaos_point txn Fault.Abstract_lock_acquire;
   let z = f () in
   (match (t.strategy, inverse) with
@@ -37,7 +42,7 @@ let acquire_stable t txn compute =
     in
     if missing <> [] then begin
       t.lap.Lock_allocator.acquire txn missing;
-      obs_acquire txn missing;
+      obs_acquire txn (List.length missing);
       Stm.chaos_point txn Fault.Abstract_lock_acquire;
       go (missing @ acquired)
     end

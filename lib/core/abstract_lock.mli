@@ -24,6 +24,13 @@ val lap_kind : 'k t -> Lock_allocator.kind
 val apply :
   'k t -> Stm.txn -> 'k Intent.t list -> ?inverse:('z -> unit) -> (unit -> 'z) -> 'z
 
+(** [acquire_key t txn k ~write] is the acquisition half of [apply t
+    txn [Write k]] (or [[Read k]]): the caller runs its operation
+    inline afterwards and, under the eager strategy, registers its own
+    inverse with [Stm.on_abort].  The single-key path of the map
+    wrappers: no intent list, no operation closure. *)
+val acquire_key : 'k t -> Stm.txn -> 'k -> write:bool -> unit
+
 (** [acquire_stable t txn compute] acquires the intents demanded by the
     current (state-dependent) computation, then re-computes and
     acquires any newly demanded intents, until a fixed point.  This is

@@ -2,37 +2,34 @@ type access = { slot : int; write : bool }
 
 type 'k t = {
   slots : int;
+  slot_of : ('k -> int) option;
   accesses : stripe:int -> 'k Intent.t -> access list;
 }
 
-let striped ?(slots = 1024) ?(hash = Hashtbl.hash) () =
+(* A per-key abstraction's list form is derived from its [slot_of], so
+   the two cannot disagree. *)
+let per_key ~slots slot_of =
   {
     slots;
+    slot_of = Some slot_of;
     accesses =
       (fun ~stripe:_ intent ->
-        let slot = hash (Intent.key intent) land max_int mod slots in
+        let slot = slot_of (Intent.key intent) in
         [ { slot; write = Intent.is_write intent } ]);
   }
+
+let striped ?(slots = 1024) ?(hash = Hashtbl.hash) () =
+  per_key ~slots (fun k -> hash k land max_int mod slots)
 
 let indexed ~slots ~index =
-  {
-    slots;
-    accesses =
-      (fun ~stripe:_ intent ->
-        let slot = index (Intent.key intent) in
-        if slot < 0 || slot >= slots then
-          invalid_arg "Conflict_abstraction.indexed: slot out of range";
-        [ { slot; write = Intent.is_write intent } ]);
-  }
+  per_key ~slots (fun k ->
+      let slot = index k in
+      if slot < 0 || slot >= slots then
+        invalid_arg "Conflict_abstraction.indexed: slot out of range";
+      slot)
 
-let exact ~slots accesses = { slots; accesses }
-
-let coarse () =
-  {
-    slots = 1;
-    accesses =
-      (fun ~stripe:_ intent -> [ { slot = 0; write = Intent.is_write intent } ]);
-  }
+let exact ~slots accesses = { slots; slot_of = None; accesses }
+let coarse () = per_key ~slots:1 (fun _ -> 0)
 
 let group_accesses ~width ~base ~stripe intent =
   if Intent.is_write intent then

@@ -28,6 +28,13 @@ type access = { slot : int; write : bool }
 
 type 'k t = {
   slots : int;  (** the region size M, a tuning parameter (§3) *)
+  slot_of : ('k -> int) option;
+      (** present for per-key abstractions ({!striped}, {!indexed},
+          {!coarse}): every intent on key [k] is exactly one access to
+          slot [slot_of k], read or write as the intent.  Lock
+          allocators use it to acquire a single key without building
+          an intent or access list.  [None] for {!exact}, whose
+          accesses depend on the intent and the stripe. *)
   accesses : stripe:int -> 'k Intent.t -> access list;
 }
 

@@ -107,22 +107,29 @@ let publish_linearized t ~wv ~wrote =
   t.abort_hooks <- [];
   t.durable_hooks <- [];
   let failure =
-    ref (match run_hooks locked_hooks with () -> None | exception e -> Some e)
+    match run_hooks locked_hooks with () -> None | exception e -> Some e
   in
-  let waits = ref [] in
-  List.iter
-    (fun h ->
-      match h wv with
-      | None -> ()
-      | Some wait -> waits := wait :: !waits
-      | exception e -> if !failure = None then failure := Some e)
-    durable_hooks;
+  let waits, failure =
+    (* Most commits have no durable hook: skip the closure and refs. *)
+    if durable_hooks = [] then ([], failure)
+    else begin
+      let failure = ref failure and waits = ref [] in
+      List.iter
+        (fun h ->
+          match h wv with
+          | None -> ()
+          | Some wait -> waits := wait :: !waits
+          | exception e -> if !failure = None then failure := Some e)
+        durable_hooks;
+      (List.rev !waits, !failure)
+    end
+  in
   Rwset.Wlog.publish_plan t.wset ~version:wv;
   release_locks t;
   {
     pd_after = after_hooks;
-    pd_waits = List.rev !waits;
-    pd_failure = !failure;
+    pd_waits = waits;
+    pd_failure = failure;
     pd_wrote = wrote;
   }
 

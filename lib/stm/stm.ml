@@ -187,38 +187,48 @@ module Local = struct
   type 'a key = {
     kuid : int;
     inject : 'a -> exn;
-    project : exn -> 'a option;
+    project : exn -> 'a;
     init : txn -> 'a;
   }
 
   let next_kuid = Atomic.make 1
 
+  (* Every entry stored under [kuid] was packed by this key's own [E],
+     so [project] cannot see a foreign constructor. *)
   let key (type s) (init : txn -> s) : s key =
     let exception E of s in
     {
       kuid = Atomic.fetch_and_add next_kuid 1;
       inject = (fun x -> E x);
-      project = (function E x -> Some x | _ -> None);
+      project = (function E x -> x | _ -> assert false);
       init;
     }
 
-  let find t k =
+  (* Index of [k]'s newest entry in the local log, or -1. *)
+  let index t k =
     Txn_state.check_open t;
-    match Rwset.Llog.find t.Txn_state.locals k.kuid with
-    | None -> None
-    | Some e -> k.project e
+    Rwset.Llog.find_idx t.Txn_state.locals k.kuid
+
+  let value t k i = k.project (Rwset.Llog.value t.Txn_state.locals i)
+
+  let find t k =
+    let i = index t k in
+    if i < 0 then None else Some (value t k i)
 
   let set t k v =
     Txn_state.check_open t;
     Rwset.Llog.set t.Txn_state.locals k.kuid (k.inject v)
 
+  (* A hit allocates nothing: no option from the log, none from the
+     projection. *)
   let get t k =
-    match find t k with
-    | Some v -> v
-    | None ->
-        let v = k.init t in
-        set t k v;
-        v
+    let i = index t k in
+    if i >= 0 then value t k i
+    else begin
+      let v = k.init t in
+      set t k v;
+      v
+    end
 end
 
 (* ------------------------------------------------------------------ *)

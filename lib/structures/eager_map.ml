@@ -35,6 +35,12 @@ type ('k, 'v) t = {
           dirty key, restored wholesale on abort *)
 }
 
+(* Put [k] back to [old], its binding before the transaction touched it. *)
+let restore base k old =
+  match old with
+  | Some o -> ignore (base.bput k o)
+  | None -> ignore (base.bremove k)
+
 let make ~base ~lap ?(size_mode = `Counter) ?(combine_undo = false)
     ?(name = "eager-map") () =
   let undo_key =
@@ -44,12 +50,7 @@ let make ~base ~lap ?(size_mode = `Counter) ?(combine_undo = false)
         (Stm.Local.key (fun txn ->
              let firsts : ('k, 'v option) Hashtbl.t = Hashtbl.create 8 in
              Stm.on_abort txn (fun () ->
-                 Hashtbl.iter
-                   (fun k old ->
-                     match old with
-                     | Some v -> ignore (base.bput k v)
-                     | None -> ignore (base.bremove k))
-                   firsts);
+                 Hashtbl.iter (restore base) firsts);
              firsts))
   in
   {
@@ -60,44 +61,44 @@ let make ~base ~lap ?(size_mode = `Counter) ?(combine_undo = false)
     undo_key;
   }
 
+(* Single-key operations acquire the key's abstract lock and run the
+   base operation inline: no intent list, no operation closure.  Only
+   the eager inverse is allocated, and only when there is something to
+   undo. *)
 let get t txn k =
-  Abstract_lock.apply t.alock txn [ Intent.Read k ] (fun () -> t.base.bget k)
+  Abstract_lock.acquire_key t.alock txn k ~write:false;
+  t.base.bget k
 
 let contains t txn k =
-  Abstract_lock.apply t.alock txn [ Intent.Read k ] (fun () ->
-      t.base.bcontains k)
+  Abstract_lock.acquire_key t.alock txn k ~write:false;
+  t.base.bcontains k
 
-(* Run a mutation under [Write k], undone either by a per-operation
-   inverse or by recording the key's first value in the combined undo
+(* Register the undo of a mutation of [k] that found [old]: a
+   per-operation inverse, or the key's first value in the combined undo
    table. *)
-let mutate t txn k ~op ~inverse =
+let record_undo t txn k old =
   match t.undo_key with
-  | None -> Abstract_lock.apply t.alock txn [ Intent.Write k ] ~inverse op
+  | None -> Stm.on_abort txn (fun () -> restore t.base k old)
   | Some key ->
-      Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
-          let firsts = Stm.Local.get txn key in
-          let old = op () in
-          if not (Hashtbl.mem firsts k) then Hashtbl.add firsts k old;
-          old)
+      let firsts = Stm.Local.get txn key in
+      if not (Hashtbl.mem firsts k) then Hashtbl.add firsts k old
 
 let put t txn k v =
-  mutate t txn k
-    ~op:(fun () ->
-      let old = t.base.bput k v in
-      if old = None then Committed_size.add t.csize txn 1;
-      old)
-    ~inverse:(fun old ->
-      match old with
-      | Some o -> ignore (t.base.bput k o)
-      | None -> ignore (t.base.bremove k))
+  Abstract_lock.acquire_key t.alock txn k ~write:true;
+  let old = t.base.bput k v in
+  if old = None then Committed_size.add t.csize txn 1;
+  record_undo t txn k old;
+  old
 
 let remove t txn k =
-  mutate t txn k
-    ~op:(fun () ->
-      let old = t.base.bremove k in
-      if old <> None then Committed_size.add t.csize txn (-1);
-      old)
-    ~inverse:(fun old -> Option.iter (fun o -> ignore (t.base.bput k o)) old)
+  Abstract_lock.acquire_key t.alock txn k ~write:true;
+  let old = t.base.bremove k in
+  (* A remove that found nothing changed nothing: no undo. *)
+  if old <> None then begin
+    Committed_size.add t.csize txn (-1);
+    record_undo t txn k old
+  end;
+  old
 
 let size t txn = Committed_size.read t.csize txn
 let committed_size t = Committed_size.peek t.csize

@@ -51,23 +51,26 @@ let make ~base ~lap ?(combine = true) ?(size_mode = `Counter)
 
 let log t txn = Stm.Local.get txn t.log_key
 
+(* Single-key operations acquire the key's abstract lock and run
+   against the memo log inline (no intent list, no operation closure);
+   the lazy strategy registers no inverse. *)
 let get t txn k =
-  Abstract_lock.apply t.alock txn [ Intent.Read k ] (fun () ->
-      Replay_log.Memo.get (log t txn) k)
+  Abstract_lock.acquire_key t.alock txn k ~write:false;
+  Replay_log.Memo.get (log t txn) k
 
 let contains t txn k = get t txn k <> None
 
 let put t txn k v =
-  Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
-      let old = Replay_log.Memo.put (log t txn) txn k v in
-      if old = None then Committed_size.add t.csize txn 1;
-      old)
+  Abstract_lock.acquire_key t.alock txn k ~write:true;
+  let old = Replay_log.Memo.put (log t txn) txn k v in
+  if old = None then Committed_size.add t.csize txn 1;
+  old
 
 let remove t txn k =
-  Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
-      let old = Replay_log.Memo.remove (log t txn) txn k in
-      if old <> None then Committed_size.add t.csize txn (-1);
-      old)
+  Abstract_lock.acquire_key t.alock txn k ~write:true;
+  let old = Replay_log.Memo.remove (log t txn) txn k in
+  if old <> None then Committed_size.add t.csize txn (-1);
+  old
 
 let size t txn = Committed_size.read t.csize txn
 let committed_size t = Committed_size.peek t.csize

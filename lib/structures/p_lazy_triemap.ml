@@ -32,31 +32,34 @@ let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
 
 let log t txn = Stm.Local.get txn t.log_key
 
+(* Single-key operations acquire the key's abstract lock and run
+   against the snapshot log inline; the lazy strategy registers no
+   inverse. *)
 let get t txn k =
-  Abstract_lock.apply t.alock txn [ Intent.Read k ] (fun () ->
-      Replay_log.Snapshot.read_only (log t txn)
-        ~shadow:(fun s -> Ctrie.Snapshot.find s k)
-        ~direct:(fun () -> Ctrie.get t.backing k))
+  Abstract_lock.acquire_key t.alock txn k ~write:false;
+  Replay_log.Snapshot.read_only (log t txn)
+    ~shadow:(fun s -> Ctrie.Snapshot.find s k)
+    ~direct:(fun () -> Ctrie.get t.backing k)
 
 let contains t txn k = get t txn k <> None
 
 let put t txn k v =
-  Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
-      let old =
-        Replay_log.Snapshot.update txn (log t txn) (fun s ->
-            Ctrie.Snapshot.add s k v)
-      in
-      if old = None then Committed_size.add t.csize txn 1;
-      old)
+  Abstract_lock.acquire_key t.alock txn k ~write:true;
+  let old =
+    Replay_log.Snapshot.update txn (log t txn) (fun s ->
+        Ctrie.Snapshot.add s k v)
+  in
+  if old = None then Committed_size.add t.csize txn 1;
+  old
 
 let remove t txn k =
-  Abstract_lock.apply t.alock txn [ Intent.Write k ] (fun () ->
-      let old =
-        Replay_log.Snapshot.update txn (log t txn) (fun s ->
-            Ctrie.Snapshot.remove s k)
-      in
-      if old <> None then Committed_size.add t.csize txn (-1);
-      old)
+  Abstract_lock.acquire_key t.alock txn k ~write:true;
+  let old =
+    Replay_log.Snapshot.update txn (log t txn) (fun s ->
+        Ctrie.Snapshot.remove s k)
+  in
+  if old <> None then Committed_size.add t.csize txn (-1);
+  old
 
 let size t txn = Committed_size.read t.csize txn
 let committed_size t = Committed_size.peek t.csize

@@ -8,7 +8,9 @@
 #   stm-map   t=1 u=0.1 o=16  the read-heavy hot path the log-structured
 #                             read/write sets are tuned for;
 #   eager-opt t=1 u=1   o=16  an update-only Proustian map: abstract-lock
-#                             acquisition and the Chashmap per-key ops.
+#                             acquisition and the Chashmap per-key ops;
+#   lazy-memo t=1 u=1   o=16  the same map under the lazy strategy: the
+#                             memo replay log and its commit-time replay.
 #
 # The cells are single-threaded on purpose: no contention means no
 # aborts, so words-per-commit is a deterministic property of the code
