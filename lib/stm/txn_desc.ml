@@ -7,19 +7,27 @@ type t = {
   mutable priority : int;
   irrevocable : bool;
   deadline_ns : int;
+  mutable owner_word : t option;
 }
 
 let next_id = Atomic.make 1
 
 let create ?(priority = 0) ?(irrevocable = false) ?(deadline_ns = 0) ~birth () =
-  {
-    id = Atomic.fetch_and_add next_id 1;
-    birth;
-    status = Atomic.make Active;
-    priority;
-    irrevocable;
-    deadline_ns;
-  }
+  let d =
+    {
+      id = Atomic.fetch_and_add next_id 1;
+      birth;
+      status = Atomic.make Active;
+      priority;
+      irrevocable;
+      deadline_ns;
+      owner_word = None;
+    }
+  in
+  (* Tied after construction: a [let rec] record would be built through
+     a dummy block and copied, costing a second record per attempt. *)
+  d.owner_word <- Some d;
+  d
 
 let is_active t = Atomic.get t.status = Active
 let is_committed t = Atomic.get t.status = Committed

@@ -21,6 +21,12 @@ type t = {
           under, or [0] for none.  Public so deadline-aware contention
           managers can arbitrate earliest-deadline-first and the QoS
           watchdog can spot attempts that outlived their own budget. *)
+  mutable owner_word : t option;
+      (** [Some] of this descriptor, allocated once by {!create} and
+          never reassigned: the value {!Tvar.try_lock} installs in a
+          tvar's owner word, so taking a lock allocates nothing.  It
+          makes a descriptor cyclic, so compare descriptors with [==],
+          never [=]. *)
 }
 
 (** Fresh descriptor with a unique id, [Active] status, priority
