@@ -9,7 +9,9 @@ type t = {
   rng : Random.State.t;
 }
 
-let create ?(ceiling = 14) ?(sleep_after = 6) ?(sleep = 1e-6) () =
+let default_ceiling = 14
+
+let create ?(ceiling = default_ceiling) ?(sleep_after = 6) ?(sleep = 1e-6) () =
   let seed =
     (Domain.self () :> int) lxor Atomic.fetch_and_add next_seed 0x61c88647
   in
@@ -25,10 +27,11 @@ let create ?(ceiling = 14) ?(sleep_after = 6) ?(sleep = 1e-6) () =
 (* Reconfiguring instead of recreating keeps the [Random.State]
    allocation (the expensive part of [create]) out of per-transaction
    paths: pooled backoffs are retuned to the episode's config and their
-   contention history forgotten. *)
-let reconfigure ?(ceiling = 14) ?(sleep_after = 6) ?(sleep = 1e-6) t =
+   contention history forgotten.  Labelled, not optional, arguments:
+   an optional one would box its value on every call. *)
+let reconfigure t ~sleep_after ~sleep =
   t.attempts <- 0;
-  t.ceiling <- ceiling;
+  t.ceiling <- default_ceiling;
   t.sleep_after <- sleep_after;
   t.sleep <- sleep;
   t.slept_ns <- 0

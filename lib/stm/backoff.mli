@@ -10,11 +10,12 @@ type t
     tests tighten both to keep hostile schedules hot. *)
 val create : ?ceiling:int -> ?sleep_after:int -> ?sleep:float -> unit -> t
 
-(** [reconfigure t] retunes an existing backoff to new knobs and forgets
-    its contention history, without re-seeding the RNG.  Used by the
+(** [reconfigure t] retunes an existing backoff to new knobs (and the
+    default ceiling) and forgets its contention history, without
+    re-seeding the RNG.  Used by the
     descriptor pool to reuse one backoff across transaction attempts
     instead of paying [create]'s [Random.State] allocation each time. *)
-val reconfigure : ?ceiling:int -> ?sleep_after:int -> ?sleep:float -> t -> unit
+val reconfigure : t -> sleep_after:int -> sleep:float -> unit
 
 (** [once t] spins for a randomized duration that grows exponentially
     with the number of preceding [once] calls since the last [reset].

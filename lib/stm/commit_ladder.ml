@@ -1,6 +1,7 @@
 (* The attempt driver: commit/abort execution, the serial-irrevocable
    quiesce protocol, and the starvation-proof escalation ladder that
-   [Stm.atomically] runs root transactions through. *)
+   [Stm.atomically], [Stm.read_only] and [Stm.atomic] run root
+   transactions through. *)
 
 open Txn_state
 
@@ -24,7 +25,13 @@ let do_abort t reason =
   let hooks = t.abort_hooks in
   t.abort_hooks <- [];
   t.finished <- true;
-  Fun.protect ~finally:(fun () -> release_locks t) (fun () -> run_hooks hooks)
+  (* The locks are released even when a hook raises. *)
+  match run_hooks hooks with
+  | () -> release_locks t
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release_locks t;
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Serial-irrevocable quiescing                                         *)
@@ -137,30 +144,34 @@ let do_commit t =
       Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
-(* Retry blocking                                                       *)
-
-(* Block until a watched tvar changes (or the episode deadline
-   passes): real parking on the read set's wait lists, or the legacy
-   busy-poll under [Parking.Poll].  A retry that read nothing can
-   never be woken, which the ladder turns into [Retry_no_reads] before
-   reaching here. *)
-let wait_for_change ~deadline_ns watch = Parking.await ~deadline_ns watch
-
-(* ------------------------------------------------------------------ *)
 (* The escalation ladder                                                *)
 
-(* Starvation-proof commit:
+(* Starvation-proof commit.  Attempt [n] of an episode runs on one rung,
+   picked from [cfg], [n] and whether the episode is read-only:
 
-   1. attempts [1 .. abort_budget]: plain optimistic retries;
-   2. attempts (abort_budget ..]: each retry additionally boosts the
-      descriptor's priority, so karma-style contention managers start
-      killing our adversaries, and the first attempt's birth timestamp
-      is retained so age-based managers rank us as the elder;
-   3. attempts (fallback_after ..] (when [serial_fallback]): take the
-      global quiesce token, drain in-flight writing commits and re-run
-      irrevocably — no remote kill, contention-manager defeat or
-      injected fault can abort the attempt, so it commits and
-      [Too_many_attempts] is unreachable under the default config. *)
+   - [Snapshot]: every attempt of a read-only episode (see the
+     snapshot-adoption argument at [attempt]);
+   - [Optimistic]: attempts [1 .. abort_budget], plain optimistic
+     retries;
+   - [Boosted]: attempts (abort_budget ..]: each retry additionally
+     boosts the descriptor's priority, so karma-style contention
+     managers start killing our adversaries, and the first attempt's
+     birth timestamp is retained so age-based managers rank us as the
+     elder;
+   - [Irrevocable]: attempts (fallback_after ..] (when
+     [serial_fallback]): take the global quiesce token, drain in-flight
+     writing commits and re-run irrevocably — no remote kill,
+     contention-manager defeat or injected fault can abort the attempt,
+     so it commits and [Too_many_attempts] is unreachable under the
+     default config. *)
+type rung = Snapshot | Optimistic | Boosted | Irrevocable
+
+let rung_of cfg ~ro n =
+  if ro then Snapshot
+  else if cfg.serial_fallback && n > cfg.fallback_after then Irrevocable
+  else if n > cfg.abort_budget then Boosted
+  else Optimistic
+
 let priority_boost = 1_000
 
 (* QoS episode failures, raised between attempts (never mid-attempt —
@@ -170,195 +181,97 @@ let priority_boost = 1_000
 exception Deadline_exceeded
 exception Out_of_budget
 
-let run ?(deadline_ns = 0) ?(attempt_budget = 0) cfg f =
-  let proto = Protocol.select cfg.mode in
-  let ep = begin_episode cfg in
-  Fun.protect ~finally:end_episode @@ fun () ->
-  let backoff = ep.ep_backoff in
-  (* Attempt-boundary QoS gate: fail the episode before sinking work
-     into an attempt it can no longer afford. *)
-  let check_episode n =
-    if attempt_budget > 0 && n > attempt_budget then raise Out_of_budget;
+(* Attempt-boundary gate: fail the episode before sinking work into an
+   attempt it can no longer afford. *)
+let check_episode cfg ~deadline_ns ~attempt_budget n =
+  if n > cfg.max_attempts then raise (Too_many_attempts n);
+  if attempt_budget > 0 && n > attempt_budget then raise Out_of_budget;
+  if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
+    raise Deadline_exceeded
+
+(* The irrevocable rung holds the quiesce token across its retries; it
+   goes back when the episode ends or parks. *)
+let take_token ep =
+  ep.ep_token <- acquire_quiesce ~backoff:ep.ep_backoff;
+  Stats.record_fallback ();
+  obs_fallback ~token:ep.ep_token
+
+let hand_back_token ep =
+  let token = ep.ep_token in
+  if token <> 0 then begin
+    ep.ep_token <- 0;
+    release_quiesce token;
+    if leak_audit_enabled () && Atomic.get quiesce = token then
+      raise (Lock_leak "quiesce token survived its fallback episode")
+  end
+
+(* End a committed attempt: audit external resources while the logs
+   still exist, then scrub the record for the pool. *)
+let finish_attempt t =
+  Domain.DLS.set current_txn None;
+  maybe_audit t;
+  retire t
+
+(* Abort and end an attempt.  A raising abort hook still has the locks
+   released (by [do_abort]) and the record scrubbed before its exception
+   escapes the episode. *)
+let abort_and_scrub t reason =
+  Domain.DLS.set current_txn None;
+  match do_abort t reason with
+  | () ->
+      maybe_audit t;
+      retire t
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      maybe_audit t;
+      retire t;
+      Printexc.raise_with_backtrace e bt
+
+(* Exception firewall for non-[Abort_exn] escapes out of [do_commit] (a
+   raising commit hook, or chaos surfacing as an arbitrary exception):
+   release everything, scrub the record, re-raise.  An attempt that
+   already linearized ([t.finished]) must not run abort hooks — its
+   effects are published; only the residue is cleaned. *)
+let commit_firewall t e bt =
+  Domain.DLS.set current_txn None;
+  if not t.finished then (try do_abort t Explicit with _ -> ());
+  release_locks t;
+  maybe_audit t;
+  retire t;
+  Printexc.raise_with_backtrace e bt
+
+(* Adopt a snapshot timestamp: sample the clock, then drain the serial
+   commit gate once (see [attempt]). *)
+let settle_rv ~deadline_ns =
+  let v = Clock.now Clock.global in
+  while not (Protocol.commit_gate_free ()) do
     if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
-      raise Deadline_exceeded
-  in
-  (* End an attempt: audit external resources while the logs still
-     exist, then scrub the record for the pool. *)
-  let finish_attempt t =
-    Domain.DLS.set current_txn None;
-    maybe_audit t;
-    retire t
-  in
-  (* Abort an attempt, guarding against abort hooks that raise: the
-     locks are already released by [do_abort]'s own protect, but the
-     pooled record must still be scrubbed before the hook's exception
-     escapes the episode. *)
-  let abort_and_scrub t reason =
-    match do_abort t reason with
-    | () -> ()
-    | exception e ->
-        maybe_audit t;
-        retire t;
-        raise e
-  in
-  (* Exception firewall for non-[Abort_exn] escapes out of [do_commit]
-     (a raising commit hook, or chaos surfacing as an arbitrary
-     exception): release everything, scrub the record, re-raise.  An
-     attempt that already linearized ([t.finished]) must not run abort
-     hooks — its effects are published; only the residue is cleaned. *)
-  let commit_firewall t e =
-    Domain.DLS.set current_txn None;
-    if not t.finished then (try do_abort t Explicit with _ -> ());
-    release_locks t;
-    maybe_audit t;
-    retire t;
-    raise e
-  in
-  let rec attempt n ~priority ~birth =
-    if n > cfg.max_attempts then raise (Too_many_attempts n);
-    check_episode n;
-    if cfg.serial_fallback && n > cfg.fallback_after then
-      fallback_attempt n ~priority ~birth
-    else begin
-      let priority =
-        if n > cfg.abort_budget then priority + priority_boost else priority
-      in
-      Stats.record_start ();
-      let t = attempt_txn ep cfg ~proto ~priority ?birth ~deadline_ns () in
-      obs_attempt_start t ~n;
-      let birth = Some t.tdesc.Txn_desc.birth in
-      Domain.DLS.set current_txn (Some t);
-      let retry_after_abort ?watch reason =
-        Domain.DLS.set current_txn None;
-        abort_and_scrub t reason;
-        let next_priority = t.tdesc.Txn_desc.priority in
-        maybe_audit t;
-        (match watch with
-        | Some ws -> wait_for_change ~deadline_ns ws
-        | None -> Backoff.once ~until_ns:deadline_ns backoff);
-        retire t;
-        attempt (n + 1) ~priority:next_priority ~birth
-      in
-      match f t with
-      | result -> (
-          match do_commit t with
-          | () ->
-              finish_attempt t;
-              result
-          | exception Abort_exn reason -> retry_after_abort reason
-          | exception e -> commit_firewall t e)
-      | exception Abort_exn reason -> retry_after_abort reason
-      | exception Retry_exn ->
-          let watch = read_watch_entries t in
-          if watch = [] then begin
-            (* An empty read set can never be woken: fail the episode
-               with the typed error, with pool hygiene restored. *)
-            Domain.DLS.set current_txn None;
-            abort_and_scrub t Explicit;
-            maybe_audit t;
-            retire t;
-            raise Retry_no_reads
-          end;
-          retry_after_abort ~watch Explicit
-      | exception e ->
-          (* A user exception observed in an inconsistent (zombie) state is
-             an artifact of late conflict detection, not a real error:
-             abort and re-run, as ScalaSTM does (§7).  In a consistent
-             state, abort and propagate. *)
-          Domain.DLS.set current_txn None;
-          let consistent = Protocol.reads_valid t in
-          abort_and_scrub t Explicit;
-          let next_priority = t.tdesc.Txn_desc.priority in
-          maybe_audit t;
-          retire t;
-          if consistent then raise e
-          else begin
-            Backoff.once ~until_ns:deadline_ns backoff;
-            attempt (n + 1) ~priority:next_priority ~birth
-          end
-    end
-  and fallback_attempt n ~priority ~birth =
-    let token = acquire_quiesce ~backoff in
-    Stats.record_fallback ();
-    obs_fallback ~token;
-    Fun.protect
-      ~finally:(fun () ->
-        release_quiesce token;
-        if leak_audit_enabled () && Atomic.get quiesce = token then
-          raise (Lock_leak "quiesce token survived its fallback episode"))
-      (fun () ->
-        (* Retries inside the episode keep the token: an abort here can
-           only come from a bounded abstract-lock timeout against a
-           pre-quiesce holder, which must itself drain shortly. *)
-        let rec go n ~priority =
-          if n > cfg.max_attempts then raise (Too_many_attempts n);
-          check_episode n;
-          Stats.record_start ();
-          let t =
-            attempt_txn ep cfg ~proto ~priority ?birth ~irrevocable:true
-              ~deadline_ns ()
-          in
-          obs_attempt_start t ~n;
-          Domain.DLS.set current_txn (Some t);
-          let retry_irrevocable reason =
-            Domain.DLS.set current_txn None;
-            abort_and_scrub t reason;
-            let next_priority = t.tdesc.Txn_desc.priority in
-            maybe_audit t;
-            retire t;
-            Backoff.once ~until_ns:deadline_ns backoff;
-            go (n + 1) ~priority:next_priority
-          in
-          match f t with
-          | result -> (
-              match do_commit t with
-              | () ->
-                  finish_attempt t;
-                  result
-              | exception Abort_exn reason -> retry_irrevocable reason
-              | exception e -> commit_firewall t e)
-          | exception Abort_exn reason -> retry_irrevocable reason
-          | exception Retry_exn ->
-              (* [retry] waits for another transaction to change the
-                 read set, which can never happen while we quiesce the
-                 writers: hand the token back, park, and re-enter the
-                 ladder at the boosted rung. *)
-              let watch = read_watch_entries t in
-              Domain.DLS.set current_txn None;
-              abort_and_scrub t Explicit;
-              let next_priority = t.tdesc.Txn_desc.priority in
-              let fallback_birth =
-                Some (Option.value birth ~default:t.tdesc.Txn_desc.birth)
-              in
-              maybe_audit t;
-              retire t;
-              if watch = [] then raise Retry_no_reads;
-              release_quiesce token;
-              wait_for_change ~deadline_ns watch;
-              attempt (n + 1) ~priority:next_priority ~birth:fallback_birth
-          | exception e ->
-              (* Irrevocable reads are consistent by construction, so a
-                 user exception is a real error: abort and propagate. *)
-              Domain.DLS.set current_txn None;
-              abort_and_scrub t Explicit;
-              maybe_audit t;
-              retire t;
-              raise e
-        in
-        go n ~priority)
-  in
-  attempt 1 ~priority:0 ~birth:None
+      raise Deadline_exceeded;
+    Domain.cpu_relax ()
+  done;
+  v
 
-(* ------------------------------------------------------------------ *)
-(* The read-only snapshot path (Multi_version)                          *)
+(* What the ladder does after an attempt that did not raise.  Every
+   other exit — [Retry_no_reads], a user exception, a raising hook —
+   propagates out of [attempt] with the record already scrubbed. *)
+type 'a outcome =
+  | Committed of 'a
+  | Back_off  (* aborted: back off, then retry *)
+  | Park of Parking.watch list
+      (* [retry]: park until a watched tvar changes, then retry *)
 
-(* Run a root read-only transaction against a registered consistent
-   snapshot.  Reads dispatch through [Protocol.read_only_proto]
-   straight into the version chains: no read log, no validation, no
-   locks — and, absent user exceptions or an armed watchdog, no
-   aborts, no matter how write-heavy the concurrency.
+(* The DLS slot's [Some t]: the pooled record's is built once. *)
+let some_txn ep t = match ep.ep_txn with Some _ as s -> s | None -> Some t
 
-   Snapshot adoption is the heart of the abort-free guarantee:
+(* Run [f] once on [t] and commit.  Each exit sets [current_txn] to
+   [None], audits and retires the record exactly once.
+
+   On the [Snapshot] rung, reads dispatch through
+   [Protocol.read_only_proto] straight into the version chains: no read
+   log, no validation, no locks — and, absent user exceptions or an
+   armed watchdog, no aborts, no matter how write-heavy the
+   concurrency.  Snapshot adoption is the heart of that abort-free
+   guarantee:
 
    1. Register this domain's snapshot slot with a clock sample BEFORE
       adopting the final timestamp.  A committing writer trims version
@@ -380,107 +293,129 @@ let run ?(deadline_ns = 0) ?(attempt_budget = 0) cfg f =
       one free observation of the gate retires every serial commit
       the snapshot could see.  Hence every version <= rv is reachable
       and every read is of a committed, complete state: consistent by
-      construction. *)
-let run_read_only ?(deadline_ns = 0) ?(attempt_budget = 0) cfg f =
-  (* Arm chain maintenance even if no read-write block selected
-     Multi_version yet: snapshots need history to exist. *)
-  Snapshots.ensure_armed ();
-  let proto = Protocol.read_only_proto in
-  let ep = begin_episode cfg in
-  Fun.protect ~finally:end_episode @@ fun () ->
-  let backoff = ep.ep_backoff in
-  let check_episode n =
-    if attempt_budget > 0 && n > attempt_budget then raise Out_of_budget;
-    if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
-      raise Deadline_exceeded
-  in
-  let settle_rv () =
-    let v = Clock.now Clock.global in
-    while not (Protocol.commit_gate_free ()) do
-      if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
-        raise Deadline_exceeded;
-      Domain.cpu_relax ()
-    done;
-    v
-  in
-  let finish_attempt t =
-    Domain.DLS.set current_txn None;
-    maybe_audit t;
-    retire t
-  in
-  let abort_and_scrub t reason =
-    Domain.DLS.set current_txn None;
-    (match do_abort t reason with
-    | () -> ()
-    | exception e ->
-        maybe_audit t;
-        retire t;
-        raise e);
-    maybe_audit t;
-    retire t
-  in
-  let rec attempt n =
-    if n > cfg.max_attempts then raise (Too_many_attempts n);
-    check_episode n;
-    Stats.record_start ();
-    let t = attempt_txn ep cfg ~proto ~priority:0 ~deadline_ns ~ro:true () in
-    obs_attempt_start t ~n;
-    Snapshots.register (Clock.now Clock.global);
-    (* Every branch below deregisters the snapshot slot first thing —
-       spelled out instead of a [Fun.protect] to keep the per-attempt
-       hot path allocation-free.  Deregistering before [do_commit] is
-       fine: a read-only commit touches no version chain. *)
-    let outcome =
-      match
-        t.rv <- settle_rv ();
-        Domain.DLS.set current_txn (Some t);
-        f t
-      with
-      | result -> (
-          Snapshots.deregister ();
-          Stats.add_ro_snapshot_reads t.ro_reads;
-          match do_commit t with
-          | () ->
-              Stats.record_ro_commit ();
-              finish_attempt t;
-              `Done result
-          | exception Abort_exn reason ->
-              (* Unreachable from snapshot reads; only a remote kill
-                 (armed watchdog) can land here.  Counted so the
-                 abort-free gate sees any protocol regression. *)
-              Stats.record_ro_abort ();
-              abort_and_scrub t reason;
-              `Retry
-          | exception e ->
-              Domain.DLS.set current_txn None;
-              if not t.finished then (try do_abort t Explicit with _ -> ());
-              release_locks t;
-              maybe_audit t;
-              retire t;
-              raise e)
+      construction.
+
+   Every exit deregisters the snapshot slot first thing; deregistering
+   before [do_commit] is fine, as a read-only commit touches no version
+   chain. *)
+let attempt ep t f ~rung ~deadline_ns =
+  let ro = rung = Snapshot in
+  if ro then Snapshots.register (Clock.now Clock.global);
+  match
+    if ro then t.rv <- settle_rv ~deadline_ns;
+    Domain.DLS.set current_txn (some_txn ep t);
+    f t
+  with
+  | result -> (
+      if ro then begin
+        Snapshots.deregister ();
+        Stats.add_ro_snapshot_reads t.ro_reads
+      end;
+      match do_commit t with
+      | () ->
+          if ro then Stats.record_ro_commit ();
+          finish_attempt t;
+          Committed result
       | exception Abort_exn reason ->
-          Snapshots.deregister ();
-          Stats.record_ro_abort ();
+          (* Unreachable from snapshot reads; only a remote kill (armed
+             watchdog) can land here.  Counted so the abort-free gate
+             sees any protocol regression. *)
+          if ro then Stats.record_ro_abort ();
           abort_and_scrub t reason;
-          `Retry
-      | exception Retry_exn ->
-          (* Snapshot reads record no watch entries, so a [retry] here
-             could never be woken: fail the episode typed, like an
-             empty-read-set retry. *)
-          Snapshots.deregister ();
-          abort_and_scrub t Explicit;
-          raise Retry_no_reads
-      | exception e ->
-          (* Snapshot reads are consistent by construction — there are
-             no zombies to forgive; a user exception is a real error. *)
-          Snapshots.deregister ();
-          abort_and_scrub t Explicit;
-          raise e
-    in
-    match outcome with
-    | `Done r -> r
-    | `Retry ->
-        Backoff.once ~until_ns:deadline_ns backoff;
-        attempt (n + 1)
+          Back_off
+      | exception e -> commit_firewall t e (Printexc.get_raw_backtrace ()))
+  | exception Abort_exn reason ->
+      if ro then begin
+        Snapshots.deregister ();
+        Stats.record_ro_abort ()
+      end;
+      abort_and_scrub t reason;
+      Back_off
+  | exception Retry_exn ->
+      (* [retry] parks until another transaction changes the read set.
+         A retry that read nothing can never be woken — snapshot reads
+         record no watch entries at all — so the episode fails typed,
+         with pool hygiene restored.  Under the quiesce token no writer
+         could wake us either: the ladder hands the token back before
+         parking. *)
+      if ro then Snapshots.deregister ();
+      let watch = read_watch_entries t in
+      abort_and_scrub t Explicit;
+      if watch = [] then raise Retry_no_reads;
+      Park watch
+  | exception e ->
+      (* A user exception observed in an inconsistent (zombie) state is
+         an artifact of late conflict detection, not a real error: abort
+         and re-run, as ScalaSTM does (§7).  Irrevocable and snapshot
+         reads are consistent by construction, so there a user exception
+         is always real: abort and propagate. *)
+      let bt = Printexc.get_raw_backtrace () in
+      if ro then Snapshots.deregister ();
+      let zombie =
+        (rung = Optimistic || rung = Boosted) && not (Protocol.reads_valid t)
+      in
+      abort_and_scrub t Explicit;
+      if zombie then Back_off else Printexc.raise_with_backtrace e bt
+
+(* One episode: attempt [n] on its rung, then act on the outcome.  The
+   next attempt inherits the descriptor's priority (contention managers
+   may have raised it) and, from optimistic rungs, its birth. *)
+let rec loop ep cfg proto f ~ro ~deadline_ns ~attempt_budget n ~priority
+    ~birth =
+  check_episode cfg ~deadline_ns ~attempt_budget n;
+  let rung = rung_of cfg ~ro n in
+  if rung = Irrevocable && ep.ep_token = 0 then begin
+    take_token ep;
+    (* The deadline may have passed while the token was busy. *)
+    check_episode cfg ~deadline_ns ~attempt_budget n
+  end;
+  let priority =
+    if rung = Boosted then priority + priority_boost else priority
   in
-  attempt 1
+  Stats.record_start ();
+  let t =
+    attempt_txn ep cfg ~proto ~priority ~birth
+      ~irrevocable:(rung = Irrevocable) ~deadline_ns ~ro
+  in
+  obs_attempt_start t ~n;
+  match attempt ep t f ~rung ~deadline_ns with
+  | Committed result -> result
+  | Back_off ->
+      Backoff.once ~until_ns:deadline_ns ep.ep_backoff;
+      let d = t.tdesc in
+      let birth =
+        if rung = Irrevocable || ro then birth else d.Txn_desc.birth
+      in
+      loop ep cfg proto f ~ro ~deadline_ns ~attempt_budget (n + 1)
+        ~priority:d.Txn_desc.priority ~birth
+  | Park watch ->
+      hand_back_token ep;
+      Parking.await ~deadline_ns watch;
+      let d = t.tdesc in
+      loop ep cfg proto f ~ro ~deadline_ns ~attempt_budget (n + 1)
+        ~priority:d.Txn_desc.priority ~birth:d.Txn_desc.birth
+
+let run ~read_only ~deadline_ns ~attempt_budget cfg f =
+  let proto =
+    if read_only then begin
+      (* Arm chain maintenance even if no read-write block selected
+         Multi_version yet: snapshots need history to exist. *)
+      Snapshots.ensure_armed ();
+      Protocol.read_only_proto
+    end
+    else Protocol.select cfg.mode
+  in
+  let ep = begin_episode cfg in
+  match
+    loop ep cfg proto f ~ro:read_only ~deadline_ns ~attempt_budget 1
+      ~priority:0 ~birth:(-1)
+  with
+  | result ->
+      end_episode ();
+      hand_back_token ep;
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_episode ();
+      hand_back_token ep;
+      Printexc.raise_with_backtrace e bt

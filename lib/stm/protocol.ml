@@ -156,8 +156,8 @@ let rec read_mv : type a. t -> a Tvar.t -> attempt:int -> a =
       end
 
 (* Read-only snapshot read: no read log (nothing to validate — the
-   snapshot is consistent by construction, see
-   Commit_ladder.run_read_only), but it must wait out a held
+   snapshot is consistent by construction, see the snapshot rung of
+   Commit_ladder.attempt), but it must wait out a held
    version-lock before walking the chain.  A lock-mode commit holds
    each written tvar's lock from before its clock tick to after its
    publish, so a held lock may hide an unpublished version at or below
@@ -254,7 +254,7 @@ let release_commit_gate t =
 (* One free observation proves every serial-gate commit that ticked at
    or below the observer's snapshot has fully published: the gate is
    held from before the tick until after the publish, exclusively.
-   [Commit_ladder.run_read_only] drains on this once at snapshot
+   The ladder's snapshot rung drains on this once at snapshot
    adoption (per-tvar locks are instead waited out per read, in
    [read_ro]). *)
 let commit_gate_free () = Atomic.get commit_gate = 0
@@ -340,7 +340,7 @@ let multi_version =
   }
 
 (* The abort-free snapshot protocol for read-only transactions
-   (Commit_ladder.run_read_only installs it directly; it is not a
+   (Commit_ladder.run ~read_only installs it directly; it is not a
    [mode]).  Writes never reach [p_pre_write] — Stm.write raises
    [Read_only_violation] on the [ro] flag first — and with an empty
    write set the commit path neither acquires nor validates. *)

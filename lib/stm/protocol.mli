@@ -32,7 +32,7 @@ val read_mv : Txn_state.t -> 'a Tvar.t -> attempt:int -> 'a
     (unreachable for registered snapshots). *)
 val read_ro : Txn_state.t -> 'a Tvar.t -> 'a
 
-(** The abort-free protocol {!Commit_ladder.run_read_only} installs
+(** The abort-free protocol [Commit_ladder.run ~read_only:true] installs
     for read-only snapshot transactions (not reachable via [select]). *)
 val read_only_proto : Txn_state.proto
 

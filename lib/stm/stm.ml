@@ -4,7 +4,7 @@
      Rwset         log-structured read/write/local sets
      Txn_state     the pooled attempt record, audit, obs, chaos
      Protocol      the five conflict-detection modes as data
-     Commit_ladder commit/abort drivers + the escalation ladder
+     Commit_ladder commit/abort + the one attempt driver (the ladder)
 
    — and this façade re-exports the stable [Stm] API on top: the
    read/write hot paths (write-log filter probe, then the protocol's
@@ -239,15 +239,18 @@ end
    join it.  The nested body's effects then commit or abort with the
    outer transaction, which is the composition semantics Proustian
    objects assume. *)
-let atomically ?config:(cfg = get_default_config ()) f =
+let enclosing () =
   match Domain.DLS.get Txn_state.current_txn with
-  | Some outer when not outer.Txn_state.finished -> f outer
-  | _ -> Commit_ladder.run cfg f
+  | Some outer as o when not outer.Txn_state.finished -> o
+  | _ -> None
 
-let in_transaction () =
-  match Domain.DLS.get Txn_state.current_txn with
-  | Some t -> not t.Txn_state.finished
-  | None -> false
+let atomically ?config:(cfg = get_default_config ()) f =
+  match enclosing () with
+  | Some outer -> f outer
+  | None ->
+      Commit_ladder.run ~read_only:false ~deadline_ns:0 ~attempt_budget:0 cfg f
+
+let in_transaction () = Option.is_some (enclosing ())
 
 (* Read-only snapshot transactions.  A root call takes the abort-free
    snapshot path; a nested call joins the enclosing transaction but
@@ -257,14 +260,20 @@ let in_transaction () =
 let join_read_only outer f =
   let saved = outer.Txn_state.ro in
   outer.Txn_state.ro <- true;
-  Fun.protect
-    ~finally:(fun () -> outer.Txn_state.ro <- saved)
-    (fun () -> f outer)
+  match f outer with
+  | v ->
+      outer.Txn_state.ro <- saved;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      outer.Txn_state.ro <- saved;
+      Printexc.raise_with_backtrace e bt
 
 let read_only ?config:(cfg = get_default_config ()) f =
-  match Domain.DLS.get Txn_state.current_txn with
-  | Some outer when not outer.Txn_state.finished -> join_read_only outer f
-  | _ -> Commit_ladder.run_read_only cfg f
+  match enclosing () with
+  | Some outer -> join_read_only outer f
+  | None ->
+      Commit_ladder.run ~read_only:true ~deadline_ns:0 ~attempt_budget:0 cfg f
 
 (* ------------------------------------------------------------------ *)
 (* The QoS entry: outcomes instead of open-ended retry                  *)
@@ -289,8 +298,8 @@ let deadline t =
    the ladder only counts the per-attempt events. *)
 let atomic ?config:(cfg = get_default_config ()) ?deadline ?max_attempts
     ?(read_only = false) f =
-  match Domain.DLS.get Txn_state.current_txn with
-  | Some outer when not outer.Txn_state.finished ->
+  match enclosing () with
+  | Some outer ->
       (* Nested: join the enclosing transaction.  Its QoS envelope
          (deadline, budget, admission) already covers this body. *)
       if read_only then Outcome.Committed (join_read_only outer f)
@@ -305,11 +314,9 @@ let atomic ?config:(cfg = get_default_config ()) ?deadline ?max_attempts
           match deadline with None -> 0 | Some d -> int_of_float (d *. 1e9)
         in
         let attempt_budget = Option.value max_attempts ~default:0 in
-        let run =
-          if read_only then Commit_ladder.run_read_only ~deadline_ns
-          else Commit_ladder.run ~deadline_ns
-        in
-        match run ~attempt_budget cfg f with
+        match
+          Commit_ladder.run ~read_only ~deadline_ns ~attempt_budget cfg f
+        with
         | v -> Outcome.Committed v
         | exception Commit_ladder.Deadline_exceeded ->
             Stats.record_timeout ();

@@ -486,6 +486,15 @@ let watch_list () = Atomic.get watch_slots
 (* ------------------------------------------------------------------ *)
 (* The per-domain descriptor pool                                       *)
 
+(* An episode is one [atomically] root call: a ladder of attempts
+   sharing the pooled record (or fresh state when nested), and the
+   serial-irrevocable quiesce token while it holds one (0 = none). *)
+type episode = {
+  ep_txn : t option;
+  ep_backoff : Backoff.t;
+  mutable ep_token : int;
+}
+
 (* One transaction record per domain, reset between attempts instead of
    reallocated: the log buffers, backoffs and the record itself survive
    across every attempt and every atomic block the domain runs.  Only
@@ -500,7 +509,7 @@ let watch_list () = Atomic.get watch_slots
    nested episodes fall back to freshly allocated state. *)
 type slot = {
   slot_txn : t;
-  episode_backoff : Backoff.t;
+  slot_episode : episode;
   slot_watch : watch_slot;
   mutable depth : int;
   mutable reuses : int;
@@ -538,25 +547,30 @@ let pool : slot Domain.DLS.key =
         }
       in
       register_watch_slot ws;
+      let slot_txn = fresh () in
       {
-        slot_txn = fresh ();
-        episode_backoff = Backoff.create ();
+        slot_txn;
+        slot_episode =
+          {
+            ep_txn = Some slot_txn;
+            ep_backoff = Backoff.create ();
+            ep_token = 0;
+          };
         slot_watch = ws;
         depth = 0;
         reuses = 0;
       })
 
-(* An episode is one [atomically] root call: a ladder of attempts
-   sharing the pooled record (or fresh state when nested). *)
-type episode = { ep_txn : t option; ep_backoff : Backoff.t }
-
+(* The pooled episode record is built once per domain, like the record
+   itself; its token is back to 0 whenever the previous episode ended. *)
 let begin_episode cfg =
   let s = Domain.DLS.get pool in
   s.depth <- s.depth + 1;
   if s.depth = 1 then begin
-    Backoff.reconfigure s.episode_backoff ~sleep_after:cfg.backoff_sleep_after
+    let ep = s.slot_episode in
+    Backoff.reconfigure ep.ep_backoff ~sleep_after:cfg.backoff_sleep_after
       ~sleep:cfg.backoff_sleep;
-    { ep_txn = Some s.slot_txn; ep_backoff = s.episode_backoff }
+    ep
   end
   else
     {
@@ -564,6 +578,7 @@ let begin_episode cfg =
       ep_backoff =
         Backoff.create ~sleep_after:cfg.backoff_sleep_after
           ~sleep:cfg.backoff_sleep ();
+      ep_token = 0;
     }
 
 let end_episode () =
@@ -573,8 +588,7 @@ let end_episode () =
 (* Hand out the episode's record for one attempt.  When auditing is on,
    prove the reset discipline first: the record must be exactly as
    [retire] left it. *)
-let attempt_txn ep cfg ~proto ~priority ?birth ?(irrevocable = false)
-    ?(deadline_ns = 0) ?(ro = false) () =
+let attempt_txn ep cfg ~proto ~priority ~birth ~irrevocable ~deadline_ns ~ro =
   let t =
     match ep.ep_txn with
     | Some t ->
@@ -585,7 +599,7 @@ let attempt_txn ep cfg ~proto ~priority ?birth ?(irrevocable = false)
     | None -> fresh ()
   in
   let rv = snapshot_clock ~serial:(cfg.mode = Serial_commit) in
-  let birth = match birth with Some b -> b | None -> rv in
+  let birth = if birth < 0 then rv else birth in
   t.rv <- rv;
   t.tdesc <- Txn_desc.create ~priority ~irrevocable ~deadline_ns ~birth ();
   t.cfg <- cfg;

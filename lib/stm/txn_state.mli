@@ -207,24 +207,29 @@ val watch_list : unit -> watch_slot list
 
 (** One [atomically] root call; attempts within it share the pooled
     record.  Nested episodes (hooks starting new roots) get fresh
-    state. *)
-type episode = { ep_txn : t option; ep_backoff : Backoff.t }
+    state.  [ep_token] is the serial-irrevocable quiesce token the
+    episode holds (0 = none). *)
+type episode = {
+  ep_txn : t option;
+  ep_backoff : Backoff.t;
+  mutable ep_token : int;
+}
 
 val begin_episode : config -> episode
 val end_episode : unit -> unit
 
 (** Hand out the episode's record, reset for one attempt.  Runs
-    {!audit_pool_residue} first when auditing is enabled. *)
+    {!audit_pool_residue} first when auditing is enabled.  A negative
+    [birth] takes the attempt's own read version. *)
 val attempt_txn :
   episode ->
   config ->
   proto:proto ->
   priority:int ->
-  ?birth:int ->
-  ?irrevocable:bool ->
-  ?deadline_ns:int ->
-  ?ro:bool ->
-  unit ->
+  birth:int ->
+  irrevocable:bool ->
+  deadline_ns:int ->
+  ro:bool ->
   t
 
 (** Scrub an ended attempt so the record can be handed out again. *)

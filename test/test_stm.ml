@@ -379,6 +379,176 @@ let test_desc_lifecycle () =
 let test_read_version_exposed () =
   Stm.atomically (fun txn -> check cb "rv sane" true (Stm.read_version txn >= 0))
 
+(* ------------------------------------------------------------------ *)
+(* The attempt driver: every rung through every exit                    *)
+
+type rung = Optimistic | Irrevocable | Read_only
+
+type exit =
+  | Commit
+  | Abort_then_commit
+  | User_exn
+  | Retry_woken
+  | Retry_no_reads
+  | Deadline
+  | Budget
+
+(* Expected [Stats] deltas of one episode: starts, aborts, fallbacks,
+   ro_commits. *)
+let driver_expect rung exit =
+  let ro = rung = Read_only and irr = rung = Irrevocable in
+  let b x = if x then 1 else 0 in
+  match exit with
+  | Commit -> ("ok 42", (1, 0, b irr, b ro))
+  | Abort_then_commit -> ("ok 42", (2, 1, b irr, b ro))
+  | User_exn -> ("raised Failure(\"boom\")", (1, 1, b irr, 0))
+  | Retry_woken ->
+      (* Snapshot reads record no watch entries, so a read-only [retry]
+         is never parked.  Under the token, [retry] hands it back,
+         parks, and takes it again for the next attempt. *)
+      if ro then ("raised Proust_stm.Txn_state.Retry_no_reads", (1, 1, 0, 0))
+      else ("ok 42", (2, 1, 2 * b irr, 0))
+  | Retry_no_reads ->
+      ("raised Proust_stm.Txn_state.Retry_no_reads", (1, 1, b irr, 0))
+  | Deadline -> ("timed-out", (1, 1, b irr, 0))
+  | Budget -> ("budget-exhausted", (2, 2, b irr, 0))
+
+(* Every attempt leaves residue a skipped [retire] would leak into the
+   pool: a transaction-local, and a buffered write outside read-only
+   scopes. *)
+let driver_body rung exit ~tv ~attempts =
+  let key = Stm.Local.key (fun _ -> 0) in
+  let scratch = Tvar.make 0 in
+  fun txn ->
+    incr attempts;
+    Stm.Local.set txn key !attempts;
+    if rung <> Read_only then Stm.write txn scratch !attempts;
+    match exit with
+    | Commit -> 42
+    | Abort_then_commit ->
+        if !attempts = 1 then Stm.restart txn;
+        42
+    | User_exn -> failwith "boom"
+    | Retry_woken ->
+        if Stm.read txn tv = 0 then Stm.retry txn;
+        42
+    | Retry_no_reads -> Stm.retry txn
+    | Deadline ->
+        (* Outlive the deadline, so the boundary before attempt 2
+           ends the episode. *)
+        let until = Option.get (Stm.deadline txn) in
+        while Clock.now_mono () <= until do
+          Domain.cpu_relax ()
+        done;
+        Stm.restart txn
+    | Budget -> Stm.restart txn
+
+let driver_run rung exit f =
+  let cfg = Stm.get_default_config () in
+  let config =
+    if rung = Irrevocable then
+      { cfg with Stm.serial_fallback = true; fallback_after = 0 }
+    else cfg
+  in
+  let read_only = rung = Read_only in
+  match exit with
+  | Deadline ->
+      Stm.Outcome.name
+        (Stm.atomic ~config ~read_only ~deadline:(Clock.now_mono () +. 0.05) f)
+  | Budget ->
+      Stm.Outcome.name (Stm.atomic ~config ~read_only ~max_attempts:2 f)
+  | _ -> (
+      match
+        if read_only then Stm.read_only ~config f else Stm.atomically ~config f
+      with
+      | v -> Printf.sprintf "ok %d" v
+      | exception e -> "raised " ^ Printexc.to_string e)
+
+(* A second domain commits a write on a config without the fallback:
+   with the quiesce token leaked, every attempt would abort. *)
+let writer_commits () =
+  let r = Tvar.make 0 in
+  let cfg = { (Stm.get_default_config ()) with Stm.serial_fallback = false } in
+  Domain.join
+    (Domain.spawn (fun () ->
+         Stm.atomic ~config:cfg ~max_attempts:50 (fun txn ->
+             Stm.write txn r 1)))
+  = Stm.Outcome.Committed ()
+
+let test_driver_cell rung exit () =
+  let tv = Tvar.make 0 and attempts = ref 0 in
+  let f = driver_body rung exit ~tv ~attempts in
+  (* The waker commits once the episode parks (or gives up when the
+     episode ends without parking); its own attempt is not counted. *)
+  let stop = Atomic.make false in
+  let waker =
+    if exit <> Retry_woken then None
+    else
+      Some
+        (Domain.spawn (fun () ->
+             let give_up = Clock.now_mono () +. 5.0 in
+             while
+               Stm.parked_waiters () = 0
+               && (not (Atomic.get stop))
+               && Clock.now_mono () < give_up
+             do
+               Domain.cpu_relax ()
+             done;
+             if Atomic.get stop then 0
+             else begin
+               Stm.atomically (fun txn -> Stm.write txn tv 1);
+               1
+             end))
+  in
+  let before = Stats.read () in
+  let result = driver_run rung exit f in
+  Atomic.set stop true;
+  let waker_starts = match waker with Some d -> Domain.join d | None -> 0 in
+  let s = Stats.diff before (Stats.read ()) in
+  let want_result, (starts, aborts, fallbacks, ro_commits) =
+    driver_expect rung exit
+  in
+  check cs "result" want_result result;
+  check ci "starts" starts (s.Stats.starts - waker_starts);
+  check ci "aborts" aborts s.Stats.aborts;
+  check ci "fallbacks" fallbacks s.Stats.fallbacks;
+  check ci "ro_commits" ro_commits s.Stats.ro_commits;
+  check cb "not in a transaction" false (Stm.in_transaction ());
+  Stm.descriptor_pool_check ();
+  check cb "quiesce token free" true (writer_commits ())
+
+let with_leak_audit f () =
+  Stm.set_leak_audit true;
+  Fun.protect ~finally:(fun () -> Stm.set_leak_audit false) f
+
+let driver_cells =
+  let rungs =
+    [
+      (Optimistic, "optimistic");
+      (Irrevocable, "irrevocable");
+      (Read_only, "read-only");
+    ]
+  and exits =
+    [
+      (Commit, "commit");
+      (Abort_then_commit, "abort then commit");
+      (User_exn, "user exception");
+      (Retry_woken, "retry woken");
+      (Retry_no_reads, "empty-read retry");
+      (Deadline, "deadline");
+      (Budget, "budget");
+    ]
+  in
+  List.concat_map
+    (fun (rung, rn) ->
+      List.map
+        (fun (exit, en) ->
+          test
+            (Printf.sprintf "driver %s: %s" rn en)
+            (with_leak_audit (test_driver_cell rung exit)))
+        exits)
+    rungs
+
 let test_nested_flattening () =
   let a = Tvar.make 0 and b = Tvar.make 0 in
   let v =
@@ -454,3 +624,4 @@ let suite =
     test "descriptor lifecycle" test_desc_lifecycle;
     test "read version" test_read_version_exposed;
   ]
+  @ driver_cells
