@@ -1,12 +1,14 @@
+(* Holds are recorded as membership only: [release_all] drops every
+   level an owner took at once, so reentrant acquisitions need no
+   count. *)
 type t = {
   m : Mutex.t;
-  readers : (int, int) Hashtbl.t;  (* owner -> reentrancy count *)
+  readers : (int, unit) Hashtbl.t;  (* owners holding shared mode *)
   mutable writer : int option;
-  mutable writer_depth : int;
 }
 
 let create () =
-  { m = Mutex.create (); readers = Hashtbl.create 4; writer = None; writer_depth = 0 }
+  { m = Mutex.create (); readers = Hashtbl.create 4; writer = None }
 
 let with_lock t f =
   Mutex.lock t.m;
@@ -38,8 +40,7 @@ let try_acquire_read t ~owner ~deadline =
         match t.writer with
         | Some w when w <> owner -> false
         | _ ->
-            let n = Option.value ~default:0 (Hashtbl.find_opt t.readers owner) in
-            Hashtbl.replace t.readers owner (n + 1);
+            Hashtbl.replace t.readers owner ();
             true)
   in
   poll_until ~deadline attempt
@@ -55,7 +56,6 @@ let try_acquire_write t ~owner ~deadline =
         | _ when others_reading -> false
         | _ ->
             t.writer <- Some owner;
-            t.writer_depth <- t.writer_depth + 1;
             true)
   in
   poll_until ~deadline attempt
@@ -64,9 +64,7 @@ let release_all t ~owner =
   with_lock t (fun () ->
       Hashtbl.remove t.readers owner;
       match t.writer with
-      | Some w when w = owner ->
-          t.writer <- None;
-          t.writer_depth <- 0
+      | Some w when w = owner -> t.writer <- None
       | _ -> ())
 
 let reader_count t = with_lock t (fun () -> Hashtbl.length t.readers)

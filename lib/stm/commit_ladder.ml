@@ -102,8 +102,8 @@ let wake_written t =
   end
 
 (* Acquisition, validation, linearization and publication live in the
-   publication layer (inline or flat-combining group commit, per
-   [proto.p_stage]); what comes back is the owner-side tail: the wake
+   publication layer (inline, or flat-combining group commit under the
+   serial gate); what comes back is the owner-side tail: the wake
    scan, the after-commit hooks, the durable flush waits, and any
    captured locked-phase hook failure — earliest failure wins and
    re-raises once hygiene is restored. *)

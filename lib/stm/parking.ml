@@ -31,11 +31,7 @@
 
 type retry_mode = Park | Poll
 
-let mode =
-  Atomic.make
-    (match Sys.getenv_opt "PROUST_RETRY" with
-    | Some ("poll" | "POLL") -> Poll
-    | _ -> Park)
+let mode = Atomic.make Park
 
 let set_retry_mode m = Atomic.set mode m
 let retry_mode () = Atomic.get mode

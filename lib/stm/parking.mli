@@ -12,8 +12,7 @@
 
 type retry_mode = Park | Poll
 
-(** Process-wide switch, defaulting to [Park] (the [PROUST_RETRY=poll]
-    environment variable selects [Poll] at startup). *)
+(** Process-wide switch, defaulting to [Park]. *)
 val set_retry_mode : retry_mode -> unit
 
 val retry_mode : unit -> retry_mode

@@ -1,10 +1,10 @@
 (* The five conflict-detection modes as first-class commit protocols.
 
    Each mode of the paper's Figure 1 design space becomes one [proto]
-   record (acquire/validate/publish/release plus the encounter-time
-   hooks), built here and selected once per atomic block by
-   {!select} — the hot paths then dispatch through the record instead
-   of re-branching on [cfg.mode] at every read, write and commit. *)
+   record (its read path, its encounter-time hooks and the lock its
+   writing commits hold), built here and selected once per atomic
+   block by {!select} — the hot paths then dispatch through the record
+   instead of re-branching on [cfg.mode] at every read and write. *)
 
 open Txn_state
 
@@ -262,36 +262,25 @@ let commit_gate_free () = Atomic.get commit_gate = 0
 (* ------------------------------------------------------------------ *)
 (* The five protocols                                                   *)
 
-let no_pre_read : 'a. Txn_state.t -> 'a Tvar.t -> unit = fun _ _ -> ()
-let no_pre_write : 'a. Txn_state.t -> 'a Tvar.t -> unit = fun _ _ -> ()
-let noop (_ : Txn_state.t) = ()
-let tl2_read : 'a. Txn_state.t -> 'a Tvar.t -> 'a =
- fun t tv -> read_slow t tv ~attempt:0
+let no_hook : 'a. Txn_state.t -> 'a Tvar.t -> unit = fun _ _ -> ()
 
 (* TL2: both conflict classes detected lazily — writes buffer without
-   locking, the write set is locked at commit. *)
+   locking, the write set is locked at commit.  The other modes are
+   stated as their differences from it. *)
 let lazy_lazy =
   {
-    p_read = tl2_read;
-    p_pre_read = no_pre_read;
-    p_pre_write = no_pre_write;
-    p_acquire = acquire_plan_locks;
-    p_release_fail = noop;
-    p_release = noop;
-    p_stage = Inline_publish;
+    p_read = (fun t tv -> read_slow t tv ~attempt:0);
+    p_pre_read = no_hook;
+    p_pre_write = no_hook;
+    p_commit = Plan_locks;
   }
 
 (* TinySTM/Ennals: encounter-time write locking, lazy read/write. *)
 let eager_lazy =
   {
-    p_read = tl2_read;
-    p_pre_read = no_pre_read;
+    lazy_lazy with
     p_pre_write =
       (fun t tv -> lock_for_write ~visible_readers:false t tv ~attempt:0);
-    p_acquire = acquire_plan_locks;
-    p_release_fail = noop;
-    p_release = noop;
-    p_stage = Inline_publish;
   }
 
 (* Eager on both axes: encounter-time write locks plus visible readers
@@ -299,61 +288,30 @@ let eager_lazy =
    objects to be opaque). *)
 let eager_eager =
   {
-    p_read = tl2_read;
+    lazy_lazy with
     p_pre_read = (fun t tv -> Tvar.register_reader tv t.tdesc);
     p_pre_write =
       (fun t tv -> lock_for_write ~visible_readers:true t tv ~attempt:0);
-    p_acquire = acquire_plan_locks;
-    p_release_fail = noop;
-    p_release = noop;
-    p_stage = Inline_publish;
   }
 
 (* NOrec: no per-location commit locking at all; writing commits
-   serialize on the one global gate, released only after publishing
-   (failed commits release it in [p_release_fail] since the abort path
-   only knows about per-location locks). *)
-let serial_commit =
-  {
-    p_read = tl2_read;
-    p_pre_read = no_pre_read;
-    p_pre_write = no_pre_write;
-    p_acquire = acquire_commit_gate;
-    p_release_fail = release_commit_gate;
-    p_release = release_commit_gate;
-    (* The serial gate is the natural combiner election: see
-       {!Publisher}. *)
-    p_stage = Group_commit;
-  }
+   serialize on the one global gate, held from before the clock tick
+   until after publishing — and, being global, it doubles as the
+   group-commit combiner election (see {!Publisher}). *)
+let serial_commit = { lazy_lazy with p_commit = Serial_gate }
 
 (* MVCC read-write: lazy_lazy commit machinery (commit-time plan
    locks, read-log validation) with the multi-version read path. *)
 let multi_version =
-  {
-    p_read = (fun t tv -> read_mv t tv ~attempt:0);
-    p_pre_read = no_pre_read;
-    p_pre_write = no_pre_write;
-    p_acquire = acquire_plan_locks;
-    p_release_fail = noop;
-    p_release = noop;
-    p_stage = Inline_publish;
-  }
+  { lazy_lazy with p_read = (fun t tv -> read_mv t tv ~attempt:0) }
 
 (* The abort-free snapshot protocol for read-only transactions
    (Commit_ladder.run ~read_only installs it directly; it is not a
    [mode]).  Writes never reach [p_pre_write] — Stm.write raises
    [Read_only_violation] on the [ro] flag first — and with an empty
-   write set the commit path neither acquires nor validates. *)
-let read_only_proto =
-  {
-    p_read = (fun t tv -> read_ro t tv);
-    p_pre_read = no_pre_read;
-    p_pre_write = no_pre_write;
-    p_acquire = noop;
-    p_release_fail = noop;
-    p_release = noop;
-    p_stage = Inline_publish;
-  }
+   write set the commit path neither locks nor validates, whatever
+   its [p_commit]. *)
+let read_only_proto = { lazy_lazy with p_read = (fun t tv -> read_ro t tv) }
 
 let select = function
   | Lazy_lazy -> lazy_lazy

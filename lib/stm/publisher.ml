@@ -2,17 +2,19 @@
    store.
 
    Layering (see DESIGN.md): Rwset → Txn_state → Protocol → Publisher →
-   Commit_ladder → Stm.  Each protocol names its pipeline via
-   [proto.p_stage]; the ladder calls {!publish} once per commit and
-   receives a [done_t] describing what is left to run owner-side.
+   Commit_ladder → Stm.  The ladder calls {!publish} once per commit
+   and receives a [done_t] describing what is left to run owner-side.
+   Every commit, on either path below, validates, linearizes and
+   publishes through one step, {!linearize}; the paths differ only in
+   how the commit lock ([proto.p_commit]) is held and how the write
+   version is chosen.
 
-   [Inline_publish] is the classic path, moved verbatim from the old
-   [Commit_ladder.do_commit] body: the committing transaction acquires
-   its commit locks (or the serial gate), validates, ticks, publishes
-   and releases — one transaction, one gate acquisition.
+   Inline publication: the committing transaction takes its commit
+   lock (its plan's version-locks, or the serial gate), validates,
+   ticks, publishes and releases — one transaction, one acquisition.
 
-   [Group_commit] is flat-combining group commit for the Serial_commit
-   mode.  All writing commits in that mode serialize on the one global
+   Group commit is flat-combining for the [Serial_gate] commit lock.
+   All writing commits in that mode serialize on the one global
    gate anyway, so the gate doubles as a combiner election: the domain
    that wins it drains a lock-free publication list and commits the
    whole batch of pending intents — each with its own validation,
@@ -32,13 +34,14 @@
    - TL2's [rv + 1 = wv] validation fast path is only sound for the
      batch's *first* publisher: once any entry has published, a later
      entry at the same [wv] may have read state the earlier one just
-     overwrote, so it must validate ([batch_dirty]).
+     overwrote, so it must validate ([s_dirty]).
 
    - Two batch entries writing the {e same} tvar must not share a
      version: a concurrent reader could then mix their states without
      read-log validation noticing (the recorded version matches either
-     value).  The session tracks published tvar uids; an entry whose
-     plan overlaps them takes a fresh tick.
+     value).  Ticks are unique, so a plan tvar already carrying the
+     shared tick was written by an earlier entry of this batch; such
+     an entry takes a fresh tick.
 
    - Durable hooks need distinct LSNs in conflict order, so a durable
      entry always takes a fresh tick — and invalidates the cached
@@ -82,13 +85,13 @@ type done_t = {
 
 type outcome = Committed of done_t | Rejected of abort_reason
 
-(* The post-linearization block both publication paths share.  The
-   attempt has linearized: whatever the locked-phase hooks do, the
-   write set publishes, the locks release, and the after-commit hooks
-   still run — structure residue cleanup (e.g. pessimistic
-   abstract-lock release) rides on the latter, so a raising locked
-   hook must not starve them.  The earliest hook failure wins and
-   re-raises once hygiene is restored (in the ladder).
+(* Publish a linearized attempt and hand back its owner-side tail.
+   Whatever the locked-phase hooks do, the write set publishes, the
+   locks release, and the after-commit hooks still run — structure
+   residue cleanup (e.g. pessimistic abstract-lock release) rides on
+   the latter, so a raising locked hook must not starve them.  The
+   earliest hook failure wins and re-raises once hygiene is restored
+   (in the ladder).
 
    Durable hooks run while the write locks are still held: the
    redo-log append for a conflicting successor cannot be ordered
@@ -133,6 +136,34 @@ let publish_linearized t ~wv ~wrote =
     pd_wrote = wrote;
   }
 
+(* The one commit step both publication paths run, with the commit
+   lock held and the write version [wv] chosen: validate the read set,
+   linearize, count the commit and publish.  A transaction whose
+   writes immediately follow its snapshot ([rv + 1 = wv]) cannot have
+   missed a concurrent commit, per TL2, so it skips validation when
+   [fast_ok] allows; one without tvar writes ([wrote = false]: a
+   read-only or durable-only commit) never validates.  The inline
+   path fires the obs commit tap here, between linearization and
+   publication; a combined entry fires it owner-side ([consume]),
+   which keeps the per-domain metrics pairing.  [Stats.record_commit]
+   is striped and safe from the combiner's domain.  Never raises. *)
+let linearize t ~wv ~wrote ~fast_ok ~inline =
+  let valid =
+    (not wrote)
+    || (fast_ok && wv <= t.rv + 1)
+    ||
+    let ok = Protocol.reads_valid t in
+    obs_validate t ~ok;
+    ok
+  in
+  if not valid then Rejected Conflict
+  else if not (Txn_desc.try_commit t.tdesc) then Rejected Killed
+  else begin
+    Stats.record_commit ();
+    if inline then obs_commit t;
+    Committed (publish_linearized t ~wv ~wrote)
+  end
+
 (* A waiter's entry on the publication list.  The state cell is the
    handoff protocol: the combiner CASes [Waiting → Claimed] (winning
    the right to commit the entry) and stores [Done]; the owner CASes
@@ -142,18 +173,12 @@ type slot_state = Waiting | Claimed | Done of outcome | Cancelled
 type slot = { sl_txn : t; sl_state : slot_state Atomic.t }
 
 (* ------------------------------------------------------------------ *)
-(* The combining knob                                                   *)
+(* The combining knobs                                                  *)
 
-(* Group commit is on by default for Serial_commit; [PROUST_COMBINE=0]
-   (or [off]/[false]/[inline]) keeps the legacy inline publisher, and
-   [set_combining] flips it at runtime for A/B benching — mirroring
-   the [PROUST_RETRY] pattern. *)
-let enabled_v =
-  Atomic.make
-    (match Sys.getenv_opt "PROUST_COMBINE" with
-    | Some ("0" | "off" | "OFF" | "false" | "inline") -> false
-    | _ -> true)
-
+(* Group commit is on by default for Serial_commit; [set_combining]
+   flips it at runtime so benches can compare it with inline
+   publication on one workload. *)
+let enabled_v = Atomic.make true
 let set_combining b = Atomic.set enabled_v b
 let combining () = Atomic.get enabled_v
 
@@ -169,16 +194,9 @@ let combining () = Atomic.get enabled_v
    arrivals keeps the combiner serving, a gap longer than the budget
    releases the gate, so it only needs to cover scheduling jitter.
    Default off: an uncontended commit pays nothing.
-   [PROUST_COMBINE_LINGER] (seconds) or [set_combine_linger] turn it
-   on for batching-sensitive workloads and the bench. *)
-let linger_ns_v =
-  Atomic.make
-    (match Sys.getenv_opt "PROUST_COMBINE_LINGER" with
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some f when f > 0. -> int_of_float (f *. 1e9)
-        | _ -> 0)
-    | None -> 0)
+   [set_combine_linger] turns it on for batching-sensitive workloads
+   and the bench. *)
+let linger_ns_v = Atomic.make 0
 
 let set_combine_linger s =
   Atomic.set linger_ns_v (if s > 0. then int_of_float (s *. 1e9) else 0)
@@ -190,17 +208,12 @@ let combine_linger () = float_of_int (Atomic.get linger_ns_v) *. 1e-9
    arrival has nobody to wait for — lingering would add pure latency —
    so losers stamp [last_contended_ns] when they queue a slot, and the
    combiner consults the stamp: no contention inside the window means
-   no dwell.  On by default ([PROUST_COMBINE_LINGER_ADAPTIVE=0] pins
-   the legacy always-on behaviour): batches only ever form out of
-   contention, so suppressing the linger in its absence costs nothing
-   while restoring the uncontended commit's zero-overhead path even
-   with a linger budget configured. *)
-let adaptive_linger_v =
-  Atomic.make
-    (match Sys.getenv_opt "PROUST_COMBINE_LINGER_ADAPTIVE" with
-    | Some ("0" | "off" | "OFF" | "false") -> false
-    | _ -> true)
-
+   no dwell.  On by default ([set_adaptive_linger false] pins the
+   always-on behaviour): batches only ever form out of contention, so
+   suppressing the linger in its absence costs nothing while restoring
+   the uncontended commit's zero-overhead path even with a linger
+   budget configured. *)
+let adaptive_linger_v = Atomic.make true
 let set_adaptive_linger b = Atomic.set adaptive_linger_v b
 let adaptive_linger () = Atomic.get adaptive_linger_v
 
@@ -250,15 +263,24 @@ let pending_publications () =
 (* ------------------------------------------------------------------ *)
 (* Combine sessions                                                     *)
 
-(* While a combiner drains a batch, structure-level replay logs may
-   merge compatible intents across the batch's transactions (see
-   Replay_log) instead of replaying each against the base structure.
-   The session is the scope of that merging: a generation number the
-   logs key their shared pending state by, plus the deferred flush
-   thunks that apply the merged state.  Flushes run — in registration
-   order — before the gate releases on every exit path, so an acked
-   merged replay is never lost, even when chaos abandons the batch. *)
-type session = { s_gen : int; mutable s_flushes : (unit -> unit) list }
+(* One combiner tenure.  While it drains, structure-level replay logs
+   may merge compatible intents across the batch's transactions (see
+   Replay_log) instead of replaying each against the base structure:
+   [s_gen] is the generation the logs key their shared pending state
+   by, and [s_flushes] the deferred thunks that apply the merged
+   state.  Flushes run — in registration order — before the gate
+   releases on every exit path, so an acked merged replay is never
+   lost, even when chaos abandons the batch.  The rest is the batch's
+   version state: [s_wv] caches the shared batch tick (0 = not yet
+   taken), [s_dirty] is set once anything has published, and
+   [s_committed] counts the tenure's commits. *)
+type session = {
+  s_gen : int;
+  mutable s_flushes : (unit -> unit) list;
+  mutable s_wv : int;
+  mutable s_dirty : bool;
+  mutable s_committed : int;
+}
 
 let session_gen = Atomic.make 1
 
@@ -283,86 +305,53 @@ let defer_flush f =
 (* ------------------------------------------------------------------ *)
 (* Committing one batch entry (gate held, combiner's domain)            *)
 
-(* Per-session version state: [bs_wv] caches the shared batch tick
-   (0 = not yet taken), [bs_dirty] is set once anything has published,
-   [bs_published] records published tvar uids for the same-tvar
-   overlap check. *)
-type batch_state = {
-  mutable bs_wv : int;
-  mutable bs_dirty : bool;
-  bs_published : (int, unit) Hashtbl.t;
-}
-
-let fresh_batch_state () =
-  { bs_wv = 0; bs_dirty = false; bs_published = Hashtbl.create 16 }
-
-let plan_overlaps bs t =
+(* Did an earlier entry of this batch publish one of [t]'s tvars at
+   the shared tick?  See the header note on same-tvar entries. *)
+let plan_overlaps s t =
+  s.s_wv <> 0
+  &&
   let hit = ref false in
   Rwset.Wlog.plan_iter_tv t.wset (fun tv ->
-      if Hashtbl.mem bs.bs_published tv.Tvar.uid then hit := true);
+      if (Tvar.load tv).Tvar.version = s.s_wv then hit := true);
   !hit
 
-let note_published bs t =
-  Rwset.Wlog.plan_iter_tv t.wset (fun tv ->
-      Hashtbl.replace bs.bs_published tv.Tvar.uid ())
-
-(* Commit one entry of the batch: the inline publisher's validate /
-   linearize / hook / publish phases, minus acquisition and release
-   (the combiner owns the gate) and minus the owner-side tail ([Done]
-   hands that back through the slot).  Never raises: hook failures are
-   captured into [pd_failure], everything else is a typed rejection
-   the owner converts back into its normal abort path. *)
-let commit_entry bs t =
+(* Commit one entry of the batch: {!linearize} at the batch's write
+   version, minus acquisition and release (the combiner owns the gate)
+   and minus the owner-side tail ([Done] hands that back through the
+   slot).  Never raises: hook failures are captured into
+   [pd_failure], everything else is a typed rejection the owner
+   converts back into its normal abort path. *)
+let commit_entry s t =
   if Txn_desc.is_aborted t.tdesc then Rejected Killed
   else if (not t.tdesc.Txn_desc.irrevocable) && deadline_expired t then
     Rejected Timed_out
   else begin
-    let has_durable = t.durable_hooks <> [] in
     let wv =
-      if has_durable then begin
+      if t.durable_hooks <> [] then begin
         (* Distinct LSNs in drain (= conflict) order; invalidate the
            cached tick so later entries re-tick and per-tvar versions
            stay monotone. *)
-        let v = Clock.tick Clock.global in
-        bs.bs_wv <- 0;
-        v
-      end
-      else if plan_overlaps bs t then begin
-        (* Same tvar already published this batch: sharing its version
-           would let a concurrent reader mix the two states without
-           validation noticing.  Fresh tick, and later entries adopt
-           it. *)
-        let v = Clock.tick Clock.global in
-        bs.bs_wv <- v;
-        v
+        s.s_wv <- 0;
+        Clock.tick Clock.global
       end
       else begin
-        if bs.bs_wv = 0 then bs.bs_wv <- Clock.tick Clock.global;
-        bs.bs_wv
+        (* A fresh shared tick for the batch's first entry, and for an
+           entry that would otherwise share a version with an earlier
+           write of the same tvar; later entries adopt it. *)
+        if s.s_wv = 0 || plan_overlaps s t then
+          s.s_wv <- Clock.tick Clock.global;
+        s.s_wv
       end
     in
-    let valid =
-      (* TL2 fast path only for the batch's first publisher — see the
-         header note on [batch_dirty]. *)
-      if wv > t.rv + 1 || bs.bs_dirty then begin
-        let ok = Protocol.reads_valid t in
-        obs_validate t ~ok;
-        ok
-      end
-      else true
+    let oc =
+      linearize t ~wv ~wrote:true ~fast_ok:(not s.s_dirty) ~inline:false
     in
-    if not valid then Rejected Conflict
-    else if not (Txn_desc.try_commit t.tdesc) then Rejected Killed
-    else begin
-      (* Linearized.  [Stats.record_commit] is striped and safe from
-         the combiner's domain; the paired [Metrics.on_commit] runs
-         owner-side when the outcome is consumed. *)
-      Stats.record_commit ();
-      let d = publish_linearized t ~wv ~wrote:true in
-      note_published bs t;
-      bs.bs_dirty <- true;
-      Committed d
-    end
+    (match oc with
+    | Committed _ ->
+        s.s_dirty <- true;
+        s.s_committed <- s.s_committed + 1
+    | Rejected _ -> ());
+    oc
   end
 
 (* ------------------------------------------------------------------ *)
@@ -377,7 +366,7 @@ let drain_rounds = 4
 (* Drain one batch (oldest first).  Returns [true] if a chaos draw
    abandoned the drain mid-batch — the remaining slots have been
    pushed back for a self-electing waiter. *)
-let rec drain_batch bs ~committed = function
+let rec drain_batch s = function
   | [] -> false
   | sl :: rest as remaining -> (
       (* The handoff chaos point, drawn before the claim — the window
@@ -402,7 +391,7 @@ let rec drain_batch bs ~committed = function
             let oc =
               if spurious then Rejected Conflict
               else
-                match commit_entry bs sl.sl_txn with
+                match commit_entry s sl.sl_txn with
                 | oc -> oc
                 | exception _ ->
                     (* [commit_entry] is non-raising by construction;
@@ -410,98 +399,103 @@ let rec drain_batch bs ~committed = function
                        instead of stranding it in [Claimed]. *)
                     Rejected Conflict
             in
-            (match oc with Committed _ -> incr committed | Rejected _ -> ());
             Atomic.set sl.sl_state (Done oc)
           end;
           (* CAS failure: the owner cancelled (deadline, kill, or it
              self-elected earlier) — nothing to do. *)
-          drain_batch bs ~committed rest)
+          drain_batch s rest)
 
-(* Commit [t] as the combiner (gate held on entry; released here).
-   Returns [t]'s own [done_t] or raises its [Abort_exn] — exactly the
-   inline publisher's contract — after draining the batch. *)
+(* The linger deadline after a drain: the budget bounds the gap
+   between arrivals, not total tenure, so it restarts after every
+   drain — a busy combiner keeps serving while an idle one releases
+   within one budget of its last batch.  Total tenure stays bounded
+   by [drain_rounds].  Re-reading the effective budget lets an
+   adaptive combiner that started solo linger once arrivals (which
+   mark the gate contended) materialize. *)
+let rearm_linger until =
+  let ns = effective_linger_ns () in
+  if ns = 0 then until else Clock.now_mono_ns () + ns
+
+(* Serve the publication list until it stays empty past the linger
+   deadline ([0] = no linger), a chaos draw abandons a batch, or
+   [drain_rounds] drains have run. *)
+let rec serve s ~rounds ~linger_until =
+  if rounds < drain_rounds then
+    match Atomic.get pub_list with
+    | [] ->
+        (* Linger polls are not drain rounds: keep yielding until the
+           budget runs out or an arrival starts a real round.  The
+           sleep is the point — on an oversubscribed machine it is
+           what lets a would-be batch member run at all.  Every tick
+           taken so far has published, so advertise the gate as
+           quiescent: transaction starts may sample their snapshots
+           through the linger instead of serializing behind it (see
+           [Txn_state.snapshot_clock]). *)
+        if linger_until <> 0 && Clock.now_mono_ns () < linger_until then begin
+          Atomic.set gate_quiescent true;
+          Unix.sleepf 1e-6;
+          serve s ~rounds ~linger_until
+        end
+    | _ ->
+        Atomic.set gate_quiescent false;
+        let batch = List.rev (Atomic.exchange pub_list []) in
+        if not (drain_batch s batch) then
+          serve s ~rounds:(rounds + 1) ~linger_until:(rearm_linger linger_until)
+
+(* End the tenure; runs on every exit, in this order.  Merged replay
+   flushes must land before the gate releases: once it is free, a new
+   transaction may read the base structures, and acked entries'
+   effects must be there.  Returns the flush failure, if any. *)
+let close_session s t =
+  let failure =
+    match run_hooks (List.rev s.s_flushes) with
+    | () -> None
+    | exception e -> Some e
+  in
+  Domain.DLS.set session_key None;
+  Atomic.set gate_quiescent false;
+  Protocol.release_commit_gate t;
+  if s.s_committed > 0 then begin
+    Stats.add_combined_commits s.s_committed;
+    if Proust_obs.Gate.get () land Proust_obs.Gate.metrics_bit <> 0 then
+      Proust_obs.Metrics.add_combiner_batch s.s_committed
+  end;
+  failure
+
+(* Commit [t] as the combiner (gate held on entry; released here),
+   then serve the publication list.  Returns [t]'s own outcome, with a
+   flush failure folded into a commit's [pd_failure]; a flush failure
+   with [t]'s own entry rejected has no commit to ride back on, so it
+   is a real error and raises rather than being swallowed by a silent
+   retry. *)
 let combiner_commit t =
   Stats.record_combiner_election ();
-  let sess =
-    { s_gen = Atomic.fetch_and_add session_gen 1; s_flushes = [] }
+  let s =
+    {
+      s_gen = Atomic.fetch_and_add session_gen 1;
+      s_flushes = [];
+      s_wv = 0;
+      s_dirty = false;
+      s_committed = 0;
+    }
   in
-  Domain.DLS.set session_key (Some sess);
-  let bs = fresh_batch_state () in
-  let committed = ref 0 in
-  let flush_failure = ref None in
-  let own = ref (Rejected Killed) in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Merged replay flushes must land before the gate releases:
-         once it is free, a new transaction may read the base
-         structures, and acked entries' effects must be there. *)
-      (match run_hooks (List.rev sess.s_flushes) with
-      | () -> ()
-      | exception e -> flush_failure := Some e);
-      Domain.DLS.set session_key None;
-      Atomic.set gate_quiescent false;
-      Protocol.release_commit_gate t;
-      if !committed > 0 then begin
-        Stats.add_combined_commits !committed;
-        if
-          Proust_obs.Gate.get () land Proust_obs.Gate.metrics_bit <> 0
-        then Proust_obs.Metrics.add_combiner_batch !committed
-      end)
-    (fun () ->
-      own := commit_entry bs t;
-      (match !own with Committed _ -> incr committed | Rejected _ -> ());
-      let linger_ns = effective_linger_ns () in
-      (* The budget bounds the gap between arrivals, not total tenure:
-         it resets after every drain, so a busy combiner keeps serving
-         while an idle one releases within one budget of its last
-         batch.  Total tenure stays bounded by [drain_rounds]. *)
-      let linger_until =
-        ref (if linger_ns = 0 then 0 else Clock.now_mono_ns () + linger_ns)
-      in
-      let rounds = ref 0 in
-      let abandoned = ref false in
-      let serving = ref true in
-      while !serving && (not !abandoned) && !rounds < drain_rounds do
-        match Atomic.get pub_list with
-        | [] ->
-            (* Linger polls are not drain rounds: keep yielding until
-               the budget runs out or an arrival starts a real round.
-               The sleep is the point — on an oversubscribed machine
-               it is what lets a would-be batch member run at all.
-               Every tick taken so far has published, so advertise the
-               gate as quiescent: transaction starts may sample their
-               snapshots through the linger instead of serializing
-               behind it (see [Txn_state.snapshot_clock]). *)
-            if !linger_until <> 0 && Clock.now_mono_ns () < !linger_until
-            then begin
-              Atomic.set gate_quiescent true;
-              Unix.sleepf 1e-6
-            end
-            else serving := false
-        | _ ->
-            Atomic.set gate_quiescent false;
-            incr rounds;
-            let batch = List.rev (Atomic.exchange pub_list []) in
-            abandoned := drain_batch bs ~committed batch;
-            (* A batch drained means the gate *is* contended: re-read
-               the effective budget so an adaptive combiner that
-               started solo lingers once arrivals materialize. *)
-            let linger_ns = effective_linger_ns () in
-            if linger_ns <> 0 then
-              linger_until := Clock.now_mono_ns () + linger_ns
-      done);
-  match !own with
-  | Committed d -> (
-      match (d.pd_failure, !flush_failure) with
-      | None, (Some _ as f) -> { d with pd_failure = f }
-      | _ -> d)
-  | Rejected r -> (
-      (* A flush failure with our own entry rejected has no commit to
-         ride back on; it is a real error and must surface rather than
-         be swallowed by a silent retry. *)
-      match !flush_failure with
-      | Some e -> raise e
-      | None -> raise (Abort_exn r))
+  Domain.DLS.set session_key (Some s);
+  match
+    let own = commit_entry s t in
+    serve s ~rounds:0 ~linger_until:(rearm_linger 0);
+    own
+  with
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (close_session s t);
+      Printexc.raise_with_backtrace e bt
+  | own -> (
+      match (own, close_session s t) with
+      | _, None -> own
+      | Committed d, (Some _ as f) ->
+          if d.pd_failure = None then Committed { d with pd_failure = f }
+          else own
+      | Rejected _, Some e -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* The grouped publish (waiter side)                                    *)
@@ -519,7 +513,7 @@ let consume t = function
 let publish_grouped t =
   chaos_point t Fault.Pre_validate;
   check_deadline t;
-  if try_gate t then consume t (Committed (combiner_commit t))
+  if try_gate t then consume t (combiner_commit t)
   else begin
     (* Losing the gate is the observed-contention signal the adaptive
        linger arms on. *)
@@ -556,7 +550,7 @@ let publish_grouped t =
                 (* Withdraw the slot (a later drain must skip it) and
                    commit ourselves as the combiner. *)
                 ignore (Atomic.compare_and_set sl.sl_state Waiting Cancelled);
-                consume t (Committed (combiner_commit t))
+                consume t (combiner_commit t)
           end
           else begin
             obs_wait ~txn:t.tdesc.Txn_desc.id
@@ -572,49 +566,49 @@ let publish_grouped t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The inline publish (the classic path, ex-[Commit_ladder.do_commit])  *)
+(* The inline publish                                                   *)
+
+(* A rejected inline commit gives back the serial gate here, because
+   the abort path only releases per-location locks (those stay on
+   [t.locked] for it).  Releasing checks the owner, so an attempt that
+   never took the gate (no writes) is unaffected. *)
+let release_commit_lock t =
+  match t.proto.p_commit with
+  | Serial_gate -> Protocol.release_commit_gate t
+  | Plan_locks -> ()
+
+let reject t reason =
+  release_commit_lock t;
+  raise (Abort_exn reason)
 
 let publish_inline t ~has_writes =
-  (* Phase 1: the protocol takes its commit locks — the plan in uid
-     order, or the one global gate (Serial_commit). *)
-  if has_writes then t.proto.p_acquire t;
-  let fail reason =
-    t.proto.p_release_fail t;
-    raise (Abort_exn reason)
-  in
-  (match chaos_point t Fault.Pre_validate with
-  | () -> ()
-  | exception Abort_exn reason -> fail reason);
+  if has_writes then begin
+    match t.proto.p_commit with
+    | Plan_locks -> Protocol.acquire_plan_locks t
+    | Serial_gate -> Protocol.acquire_commit_gate t
+  end;
   (* Deadline check at the head of validation: a commit that locked
      its plan but whose deadline passed releases everything here
      rather than paying for validation it no longer wants.
      [check_deadline] is a no-op for irrevocable attempts. *)
-  (match check_deadline t with
-  | () -> ()
-  | exception Abort_exn reason -> fail reason);
-  (* Phase 2: validate the read set against the snapshot timestamp.
-     A transaction whose writes immediately follow its snapshot
-     (rv+1 = wv) cannot have missed a concurrent commit, per TL2.
-     Durable transactions tick even without tvar writes: their
-     redo-log records need distinct LSNs (a pessimistic lazy-map op
-     can commit with an empty tvar write set yet still log). *)
-  let has_durable = t.durable_hooks <> [] in
-  let wv =
-    if has_writes || has_durable then Clock.tick Clock.global else t.rv
-  in
-  if has_writes && wv > t.rv + 1 then begin
-    let ok = Protocol.reads_valid t in
-    obs_validate t ~ok;
-    if not ok then fail Conflict
-  end;
-  (* Phase 3: linearize. *)
-  if not (Txn_desc.try_commit t.tdesc) then fail Killed;
-  Stats.record_commit ();
-  obs_commit t;
-  (* Phase 4: locked-phase handlers (replay logs), then publish. *)
-  let d = publish_linearized t ~wv ~wrote:has_writes in
-  t.proto.p_release t;
-  d
+  match
+    chaos_point t Fault.Pre_validate;
+    check_deadline t
+  with
+  | exception Abort_exn reason -> reject t reason
+  | () -> (
+      (* Durable transactions tick even without tvar writes: their
+         redo-log records need distinct LSNs (a pessimistic lazy-map
+         op can commit with an empty tvar write set yet still log). *)
+      let wv =
+        if has_writes || t.durable_hooks <> [] then Clock.tick Clock.global
+        else t.rv
+      in
+      match linearize t ~wv ~wrote:has_writes ~fast_ok:true ~inline:true with
+      | Committed d ->
+          release_commit_lock t;
+          d
+      | Rejected reason -> reject t reason)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
@@ -623,10 +617,8 @@ let publish_inline t ~has_writes =
    token has already turned every other writer away, so there is no
    batch to join — and nothing may reject an irrevocable commit. *)
 let publish t ~has_writes =
-  if
-    has_writes
-    && t.proto.p_stage = Group_commit
-    && (not t.tdesc.Txn_desc.irrevocable)
-    && combining ()
-  then publish_grouped t
-  else publish_inline t ~has_writes
+  match t.proto.p_commit with
+  | Serial_gate
+    when has_writes && (not t.tdesc.Txn_desc.irrevocable) && combining () ->
+      publish_grouped t
+  | Serial_gate | Plan_locks -> publish_inline t ~has_writes

@@ -1,8 +1,10 @@
 (** The publication layer: how a committed intent reaches the shared
-    store.  {!Commit_ladder} calls {!publish} once per commit; the
-    protocol's [p_stage] picks inline publication or flat-combining
-    group commit (Serial_commit).  The publication list, batch state
-    and linger heuristics stay internal. *)
+    store.  {!Commit_ladder} calls {!publish} once per commit.  A
+    [Plan_locks] commit publishes inline; a writing [Serial_gate]
+    commit goes through flat-combining group commit unless combining
+    is off or the attempt is irrevocable.  Both paths validate,
+    linearize and publish through one internal step.  The publication
+    list, batch state and linger heuristics stay internal. *)
 
 (** Run every hook even if one raises; re-raise the first failure. *)
 val run_hooks : (unit -> unit) list -> unit
@@ -23,19 +25,18 @@ val publish : Txn_state.t -> has_writes:bool -> done_t
 
 (** {1 Group-commit knobs} *)
 
-(** Group commit for Serial_commit; on unless [PROUST_COMBINE=0]. *)
+(** Group commit for Serial_commit; on by default. *)
 val set_combining : bool -> unit
 
 val combining : unit -> bool
 
-(** Combiner linger budget in seconds (0 = off, the default;
-    [PROUST_COMBINE_LINGER]). *)
+(** Combiner linger budget in seconds (0 = off, the default). *)
 val set_combine_linger : float -> unit
 
 val combine_linger : unit -> float
 
-(** Arm the linger only after recent gate contention; on unless
-    [PROUST_COMBINE_LINGER_ADAPTIVE=0]. *)
+(** Arm the linger only after recent gate contention; on by
+    default. *)
 val set_adaptive_linger : bool -> unit
 
 val adaptive_linger : unit -> bool

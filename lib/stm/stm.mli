@@ -221,10 +221,9 @@ val parked_waiters : unit -> int
     the domain that wins the serial gate drains the whole publication
     list — every pending commit, with its own validation, durable hooks
     and outcome hand-back — in one gate acquisition.
-    [PROUST_COMBINE=0] (or [off]/[false]/[inline]) selects the legacy
-    inline publisher at startup; [set_combining] flips it at runtime
-    for A/B benching, mirroring the [PROUST_RETRY]/{!set_retry_mode}
-    pattern.  Other modes always publish inline. *)
+    [set_combining false] selects inline publication at runtime for
+    A/B benching, mirroring the {!set_retry_mode} pattern.  Other
+    modes always publish inline. *)
 
 val set_combining : bool -> unit
 val combining : unit -> bool
@@ -238,8 +237,7 @@ val combining : unit -> bool
     the budget releases the gate.  The classic flat-combining dwell
     knob; essential for batching when domains outnumber cores, where
     an arrival otherwise only lands in the drain window if the
-    combiner was preempted mid-gate.  Default [0.] (no linger);
-    [PROUST_COMBINE_LINGER] (seconds) sets it at startup. *)
+    combiner was preempted mid-gate.  Default [0.] (no linger). *)
 val set_combine_linger : float -> unit
 
 val combine_linger : unit -> float
@@ -250,8 +248,8 @@ val combine_linger : unit -> float
     only ever form out of contention, so a solo committer skips the
     dwell entirely — a linger budget can stay configured without
     taxing uncontended commits.  On by default;
-    [PROUST_COMBINE_LINGER_ADAPTIVE=0] pins the legacy
-    always-lingering behaviour at startup. *)
+    [set_adaptive_linger false] pins the always-lingering
+    behaviour. *)
 val set_adaptive_linger : bool -> unit
 
 val adaptive_linger : unit -> bool

@@ -12,7 +12,7 @@ type t = {
 
 let next_id = Atomic.make 1
 
-let create ?(priority = 0) ?(irrevocable = false) ?(deadline_ns = 0) ~birth () =
+let create ~priority ~irrevocable ~deadline_ns ~birth =
   let d =
     {
       id = Atomic.fetch_and_add next_id 1;

@@ -30,10 +30,11 @@ type t = {
 }
 
 (** Fresh descriptor with a unique id, [Active] status, priority
-    carried over from previous attempts of the same atomic block. *)
+    carried over from previous attempts of the same atomic block.  The
+    arguments are required (not optional) because every attempt builds
+    a descriptor, and optional arguments box their values. *)
 val create :
-  ?priority:int -> ?irrevocable:bool -> ?deadline_ns:int -> birth:int ->
-  unit -> t
+  priority:int -> irrevocable:bool -> deadline_ns:int -> birth:int -> t
 
 val is_active : t -> bool
 val is_committed : t -> bool

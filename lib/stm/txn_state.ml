@@ -68,22 +68,22 @@ exception Read_only_violation
 
 type locked = Locked : 'a Tvar.t -> locked
 
-(* How a committed intent reaches the shared store.  [Inline_publish]
-   is the classic path: the committing transaction acquires, validates
-   and publishes by itself.  [Group_commit] routes the intent through
-   {!Publisher}'s flat-combining layer: the domain that wins the serial
-   gate drains every pending publication in one gate acquisition.  A
-   protocol field (not a config flag) so each mode states its
-   publication discipline next to its locking discipline. *)
-type publish_stage = Inline_publish | Group_commit
+(* How a writing commit excludes other writers while it validates,
+   ticks and publishes — the one commit-time difference between the
+   modes.  [Plan_locks] takes the version-lock of every tvar in the
+   commit plan, in uid order (the eager modes already hold them).
+   [Serial_gate] takes the one NOrec-style global gate instead, which
+   {!Publisher} also uses as the flat-combining election: the winner
+   commits every pending publication in one acquisition. *)
+type commit_lock = Plan_locks | Serial_gate
 
 (* The commit protocol as data: one record of hot-path hooks per
    conflict-detection mode, selected once when an atomic block starts
    instead of branching on [cfg.mode] at every read/write/commit.  The
-   first two fields are explicitly polymorphic so eager protocols can
+   three access hooks are explicitly polymorphic so eager protocols can
    lock typed tvars at encounter time.  Kept here (with the record they
    act on) to break the Txn_state ↔ Protocol cycle; Protocol builds the
-   four instances. *)
+   instances. *)
 type t = {
   mutable rv : int;
   mutable tdesc : Txn_desc.t;
@@ -121,16 +121,8 @@ and proto = {
       (** before a committed-state read (visible-reader registration) *)
   p_pre_write : 'a. t -> 'a Tvar.t -> unit;
       (** before buffering a write (encounter-time locking) *)
-  p_acquire : t -> unit;
-      (** writing commit, before validation: lock the plan or the gate *)
-  p_release_fail : t -> unit;
-      (** failed commit: release what [p_acquire] took that [do_abort]
-          will not (the serial gate; per-location locks are on
-          [t.locked] and released by the abort path) *)
-  p_release : t -> unit;  (** after publish: release the gate *)
-  p_stage : publish_stage;
-      (** which publication pipeline carries this mode's committed
-          intents (see {!publish_stage}) *)
+  p_commit : commit_lock;
+      (** what a writing commit holds while it publishes *)
 }
 
 let null_proto =
@@ -141,10 +133,7 @@ let null_proto =
     p_read = (fun _ _ -> raise Not_in_transaction);
     p_pre_read = (fun _ _ -> ());
     p_pre_write = (fun _ _ -> ());
-    p_acquire = (fun _ -> ());
-    p_release_fail = (fun _ -> ());
-    p_release = (fun _ -> ());
-    p_stage = Inline_publish;
+    p_commit = Plan_locks;
   }
 
 let desc t = t.tdesc
@@ -519,7 +508,8 @@ let fresh () =
   let cfg = !default_config_v in
   {
     rv = 0;
-    tdesc = Txn_desc.create ~birth:0 ();
+    tdesc =
+      Txn_desc.create ~priority:0 ~irrevocable:false ~deadline_ns:0 ~birth:0;
     cfg;
     proto = null_proto;
     rset = Rwset.Rlog.create ();
@@ -601,7 +591,7 @@ let attempt_txn ep cfg ~proto ~priority ~birth ~irrevocable ~deadline_ns ~ro =
   let rv = snapshot_clock ~serial:(cfg.mode = Serial_commit) in
   let birth = if birth < 0 then rv else birth in
   t.rv <- rv;
-  t.tdesc <- Txn_desc.create ~priority ~irrevocable ~deadline_ns ~birth ();
+  t.tdesc <- Txn_desc.create ~priority ~irrevocable ~deadline_ns ~birth;
   t.cfg <- cfg;
   t.proto <- proto;
   t.ro <- ro;

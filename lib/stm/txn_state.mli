@@ -49,13 +49,11 @@ exception Read_only_violation
 
 type locked = Locked : 'a Tvar.t -> locked
 
-(** How a committed intent reaches the shared store: the classic
-    one-txn-one-acquisition inline path, or {!Publisher}'s
-    flat-combining group commit (the serial gate's winner drains every
-    pending publication in one acquisition).  A protocol field so each
-    mode states its publication discipline next to its locking
-    discipline. *)
-type publish_stage = Inline_publish | Group_commit
+(** What a writing commit holds while it validates, ticks and
+    publishes: the version-locks of its commit plan, or the one global
+    gate (Serial_commit), which {!Publisher} also uses as the
+    flat-combining election. *)
+type commit_lock = Plan_locks | Serial_gate
 
 (** One transaction attempt.  With the per-domain pool the same record
     (and its log buffers and backoffs) is reset and reused across
@@ -91,10 +89,7 @@ and proto = {
   p_read : 'a. t -> 'a Tvar.t -> 'a;
   p_pre_read : 'a. t -> 'a Tvar.t -> unit;
   p_pre_write : 'a. t -> 'a Tvar.t -> unit;
-  p_acquire : t -> unit;
-  p_release_fail : t -> unit;
-  p_release : t -> unit;
-  p_stage : publish_stage;
+  p_commit : commit_lock;
 }
 
 val null_proto : proto

@@ -53,18 +53,24 @@ let test_clock_unique_ticks () =
   check ci "now reflects ticks" 4_000 (Clock.now c)
 
 let test_desc_commit_abort_exclusive () =
-  let d = Txn_desc.create ~birth:0 () in
+  let d =
+    Txn_desc.create ~priority:0 ~irrevocable:false ~deadline_ns:0 ~birth:0
+  in
   check cb "commit wins" true (Txn_desc.try_commit d);
   check cb "abort after commit fails" false (Txn_desc.try_abort d);
   check cb "committed" true (Txn_desc.is_committed d);
-  let d2 = Txn_desc.create ~birth:0 () in
+  let d2 =
+    Txn_desc.create ~priority:0 ~irrevocable:false ~deadline_ns:0 ~birth:0
+  in
   check cb "abort wins" true (Txn_desc.try_abort d2);
   check cb "commit after abort fails" false (Txn_desc.try_commit d2);
   check cb "aborted" true (Txn_desc.is_aborted d2)
 
 let test_desc_remote_abort_race () =
   (* Many domains race to kill one descriptor: exactly one succeeds. *)
-  let d = Txn_desc.create ~birth:0 () in
+  let d =
+    Txn_desc.create ~priority:0 ~irrevocable:false ~deadline_ns:0 ~birth:0
+  in
   let killers = Atomic.make 0 in
   spawn_all 8 (fun _ -> if Txn_desc.try_abort d then Atomic.incr killers);
   check ci "one killer" 1 (Atomic.get killers)

@@ -309,8 +309,12 @@ let test_polite_courtesy_window () =
      each Wait spins an exponentially growing (capped) courtesy window,
      so late-attempt decisions take measurably longer than early ones. *)
   let cm = Contention.polite ~patience:16 () in
-  let self = Txn_desc.create ~birth:0 () in
-  let other = Txn_desc.create ~birth:0 () in
+  let self =
+    Txn_desc.create ~priority:0 ~irrevocable:false ~deadline_ns:0 ~birth:0
+  in
+  let other =
+    Txn_desc.create ~priority:0 ~irrevocable:false ~deadline_ns:0 ~birth:0
+  in
   let decide attempt = cm.Contention.decide ~self ~other ~attempt in
   for a = 0 to 15 do
     check cb "waits below patience" true (decide a = Contention.Wait)
@@ -549,6 +553,151 @@ let driver_cells =
         exits)
     rungs
 
+(* ------------------------------------------------------------------ *)
+(* Publication outcomes: every rejection on every commit path           *)
+
+(* The three ways a commit publishes: inline under plan locks, inline
+   under the serial gate, and through the serial gate's combiner. *)
+type path = Plan_inline | Gate_inline | Gate_grouped
+type rejection = Read_conflict | Remote_kill | Expired_deadline
+
+let path_config = function
+  | Plan_inline -> { (Stm.get_default_config ()) with Stm.mode = Stm.Lazy_lazy }
+  | Gate_inline | Gate_grouped ->
+      { (Stm.get_default_config ()) with Stm.mode = Stm.Serial_commit }
+
+(* Every episode here runs under a generous deadline, so a plan lock
+   left held shows up as a timed-out cell instead of a hang.  A serial
+   gate left held is caught by the leak audit at the attempt that
+   leaked it. *)
+let bounded ~config f =
+  Stm.atomic ~config ~deadline:(Clock.now_mono () +. 5.0) f
+
+(* Attempt 1 of the body is rejected at commit; later attempts commit.
+   The read-set conflict is a write to [read] committed by another
+   domain after the body read it. *)
+let rejected_body rejection ~config ~read ~attempts txn =
+  incr attempts;
+  let first = !attempts = 1 in
+  let v = Stm.read txn read in
+  (match rejection with
+  | Read_conflict when first ->
+      let w =
+        Domain.join
+          (Domain.spawn (fun () ->
+               bounded ~config (fun txn -> Stm.write txn read (v + 1))))
+      in
+      check cs "conflicting writer commits" "committed" (Stm.Outcome.name w)
+  | Remote_kill when first -> ignore (Txn_desc.try_kill (Stm.desc txn))
+  | Expired_deadline when first ->
+      let until = Option.get (Stm.deadline txn) in
+      while Clock.now_mono () <= until do
+        Unix.sleepf 1e-3
+      done
+  | _ -> ());
+  Stm.write txn (Tvar.make 0) v;
+  v
+
+let test_publish_rejection path rejection () =
+  let config = path_config path in
+  let saved = Stm.combining () in
+  Stm.set_combining (path = Gate_grouped);
+  Fun.protect
+    ~finally:(fun () -> Stm.set_combining saved)
+    (fun () ->
+      let read = Tvar.make 0 and attempts = ref 0 in
+      let f = rejected_body rejection ~config ~read ~attempts in
+      let before = Stats.read () in
+      let outcome =
+        match rejection with
+        | Expired_deadline ->
+            Stm.atomic ~config ~deadline:(Clock.now_mono () +. 0.02) f
+        | Read_conflict | Remote_kill -> bounded ~config f
+      in
+      let d = Stats.diff before (Stats.read ()) in
+      let b x = if x then 1 else 0 in
+      check cs "outcome"
+        (if rejection = Expired_deadline then "timed-out" else "committed")
+        (Stm.Outcome.name outcome);
+      check ci "attempts" (if rejection = Expired_deadline then 1 else 2)
+        !attempts;
+      check ci "conflicts" (b (rejection = Read_conflict)) d.Stats.conflicts;
+      check ci "killed_aborts" (b (rejection = Remote_kill))
+        d.Stats.killed_aborts;
+      check ci "timeouts" (b (rejection = Expired_deadline)) d.Stats.timeouts;
+      (* The timed-out episode ran out of time; a fresh one commits. *)
+      if rejection = Expired_deadline then
+        check cs "retry commits" "committed"
+          (Stm.Outcome.name (bounded ~config f));
+      check ci "no pending publications" 0 (Stm.pending_publications ());
+      let other =
+        Domain.join
+          (Domain.spawn (fun () ->
+               bounded ~config (fun txn -> Stm.write txn read 7)))
+      in
+      check cs "second domain commits" "committed" (Stm.Outcome.name other))
+
+let publish_cells =
+  let paths =
+    [
+      (Plan_inline, "lazy-lazy inline");
+      (Gate_inline, "serial-commit inline");
+      (Gate_grouped, "serial-commit grouped");
+    ]
+  and rejections =
+    [
+      (Read_conflict, "read-set conflict");
+      (Remote_kill, "remote kill");
+      (Expired_deadline, "expired deadline");
+    ]
+  in
+  List.concat_map
+    (fun (path, pn) ->
+      List.map
+        (fun (rejection, rn) ->
+          test
+            (Printf.sprintf "publish %s: %s" pn rn)
+            (with_leak_audit (test_publish_rejection path rejection)))
+        rejections)
+    paths
+
+(* Two entries of one combiner batch share its clock tick unless they
+   write the same tvar.  The test holds the serial gate (advertised
+   quiescent, so the writers can start) until both writers have queued
+   a slot, then frees it: one self-elects and commits both.  Each
+   writer also writes a private tvar, whose version is its commit
+   version. *)
+let test_batch_tick ~shared () =
+  let config =
+    { (Stm.get_default_config ()) with Stm.mode = Stm.Serial_commit }
+  in
+  let common = Tvar.make 0 and a = Tvar.make 0 and b = Tvar.make 0 in
+  let before = Stats.read () in
+  assert (Atomic.compare_and_set Txn_state.commit_gate 0 (-1));
+  Atomic.set Txn_state.gate_quiescent true;
+  let writer own =
+    Domain.spawn (fun () ->
+        Stm.atomically ~config (fun txn ->
+            if shared then Stm.write txn common 1;
+            Stm.write txn own 1))
+  in
+  let wa = writer a and wb = writer b in
+  let give_up = Clock.now_mono () +. 5.0 in
+  while Stm.pending_publications () < 2 && Clock.now_mono () < give_up do
+    Domain.cpu_relax ()
+  done;
+  let queued = Stm.pending_publications () in
+  Atomic.set Txn_state.gate_quiescent false;
+  Atomic.set Txn_state.commit_gate 0;
+  Domain.join wa;
+  Domain.join wb;
+  let d = Stats.diff before (Stats.read ()) in
+  check ci "both writers queued" 2 queued;
+  check ci "one election" 1 d.Stats.combiner_elections;
+  check ci "both combined" 2 d.Stats.combined_commits;
+  let va = (Tvar.load a).Tvar.version and vb = (Tvar.load b).Tvar.version in
+  check cb "commit versions" (not shared) (va = vb)
+
 let test_nested_flattening () =
   let a = Tvar.make 0 and b = Tvar.make 0 in
   let v =
@@ -624,4 +773,8 @@ let suite =
     test "descriptor lifecycle" test_desc_lifecycle;
     test "read version" test_read_version_exposed;
   ]
-  @ driver_cells
+  @ driver_cells @ publish_cells
+  @ [
+      test "batch entries share the tick" (test_batch_tick ~shared:false);
+      test "same-tvar batch entries tick apart" (test_batch_tick ~shared:true);
+    ]
