@@ -178,7 +178,7 @@ let priority_boost = 1_000
    mid-attempt deadline hits surface as [Abort_exn Timed_out], unwind
    through the ordinary abort path, and are converted here at the next
    attempt boundary).  [Stm.atomic] translates both into outcomes. *)
-exception Deadline_exceeded
+exception Deadline_exceeded = Txn_state.Deadline_exceeded
 exception Out_of_budget
 
 (* Attempt-boundary gate: fail the episode before sinking work into an

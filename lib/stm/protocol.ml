@@ -44,8 +44,16 @@ let arbitrate t ~other ~attempt =
 
 let reads_valid t = Rwset.Rlog.validate t.rset ~owner:t.tdesc
 
+(* Mid-attempt, an expired deadline aborts the attempt as
+   [check_deadline] would. *)
 let try_extend t =
-  let now = snapshot_clock ~serial:(t.cfg.mode = Serial_commit) in
+  let d = t.tdesc in
+  let deadline_ns = if d.Txn_desc.irrevocable then 0 else d.deadline_ns in
+  let now =
+    match snapshot_clock ~serial:(t.cfg.mode = Serial_commit) ~deadline_ns with
+    | now -> now
+    | exception Deadline_exceeded -> raise (Abort_exn Timed_out)
+  in
   let ok = reads_valid t in
   obs_extend t ~ok;
   if ok then begin

@@ -336,12 +336,19 @@ let commit_gate = Atomic.make 0
    the original gate-free rule applies unchanged. *)
 let gate_quiescent = Atomic.make false
 
-let snapshot_clock ~serial =
+(* The wait is bounded by the episode deadline (0 = none): a gate
+   holder that never publishes must not hold a timed transaction past
+   it. *)
+exception Deadline_exceeded
+
+let snapshot_clock ~serial ~deadline_ns =
   if not serial then Clock.now Clock.global
   else
     let rec go () =
       let v = Clock.now Clock.global in
       if Atomic.get commit_gate = 0 || Atomic.get gate_quiescent then v
+      else if deadline_ns <> 0 && Clock.now_mono_ns () >= deadline_ns then
+        raise Deadline_exceeded
       else begin
         Domain.cpu_relax ();
         go ()
@@ -588,7 +595,7 @@ let attempt_txn ep cfg ~proto ~priority ~birth ~irrevocable ~deadline_ns ~ro =
         t
     | None -> fresh ()
   in
-  let rv = snapshot_clock ~serial:(cfg.mode = Serial_commit) in
+  let rv = snapshot_clock ~serial:(cfg.mode = Serial_commit) ~deadline_ns in
   let birth = if birth < 0 then rv else birth in
   t.rv <- rv;
   t.tdesc <- Txn_desc.create ~priority ~irrevocable ~deadline_ns ~birth;

@@ -147,9 +147,14 @@ val commit_gate : int Atomic.t
     inline holders never set it. *)
 val gate_quiescent : bool Atomic.t
 
+(** The episode's deadline passed before a snapshot could be taken. *)
+exception Deadline_exceeded
+
 (** A clock sample valid as a snapshot: seqlocked against
-    [commit_gate] when [serial]. *)
-val snapshot_clock : serial:bool -> int
+    [commit_gate] when [serial].  The wait for the gate raises
+    [Deadline_exceeded] once [deadline_ns] (a {!Clock.now_mono_ns}
+    point; 0 = none) has passed. *)
+val snapshot_clock : serial:bool -> deadline_ns:int -> int
 
 val release_locks : t -> unit
 

@@ -215,31 +215,135 @@ let hamt_ops_gen =
       (pair (int_range 0 200)
          (oneof [ return `Remove; map (fun v -> `Put v) (int_range 0 1000) ])))
 
-let apply_hamt ops =
+let apply_hamt ?(hash = Hashtbl.hash) ops =
   List.fold_left
     (fun (h, m) (k, op) ->
       match op with
       | `Put v ->
-          ( fst (C.Hamt.add ~hash:Hashtbl.hash ~equal:Int.equal k v h),
-            IntMap.add k v m )
+          (fst (C.Hamt.add ~hash ~equal:Int.equal k v h), IntMap.add k v m)
       | `Remove ->
-          ( fst (C.Hamt.remove ~hash:Hashtbl.hash ~equal:Int.equal k h),
-            IntMap.remove k m ))
+          (fst (C.Hamt.remove ~hash ~equal:Int.equal k h), IntMap.remove k m))
     (C.Hamt.empty, IntMap.empty) ops
 
-let prop_hamt_model ops =
-  let h, m = apply_hamt ops in
-  IntMap.for_all
-    (fun k v -> C.Hamt.find ~hash:Hashtbl.hash ~equal:Int.equal k h = Some v)
-    m
+let prop_hamt_model ?(hash = Hashtbl.hash) ops =
+  let h, m = apply_hamt ~hash ops in
+  IntMap.for_all (fun k v -> C.Hamt.find ~hash ~equal:Int.equal k h = Some v) m
   && C.Hamt.cardinal h = IntMap.cardinal m
-  && C.Hamt.fold
-       (fun k v ok -> ok && IntMap.find_opt k m = Some v)
-       h true
+  && C.Hamt.fold (fun k v ok -> ok && IntMap.find_opt k m = Some v) h true
 
-let prop_hamt_well_formed ops =
-  let h, _ = apply_hamt ops in
-  C.Hamt.well_formed ~hash:Hashtbl.hash h
+let prop_hamt_well_formed ?(hash = Hashtbl.hash) ops =
+  let h, _ = apply_hamt ~hash ops in
+  C.Hamt.well_formed ~hash h
+
+(* Low-entropy hashes: four full hashes that part at the root chunk,
+   and two that agree on every chunk but the last ([lsl 25] is the
+   sixth 5-bit slice).  Random puts and removes over 201 keys then run
+   leaf -> bucket, bucket -> leaf, and splits of leaves and buckets. *)
+let low_entropy_hashes =
+  [
+    ("k land 3", fun k -> k land 3);
+    ("(k land 1) lsl 25", fun k -> (k land 1) lsl 25);
+  ]
+
+(* White-box view of a trie.  Mirrors the constructors of [Hamt.t], in
+   order, so a trie can be inspected and malformed ones built. *)
+type ('k, 'v) shape =
+  | Empty
+  | Leaf of 'k * 'v
+  | Bucket of int * ('k * 'v) list
+  | Node of int * ('k, 'v) shape array
+
+let shape (t : ('k, 'v) C.Hamt.t) : ('k, 'v) shape = Obj.magic t
+let of_shape (s : ('k, 'v) shape) : ('k, 'v) C.Hamt.t = Obj.magic s
+
+let rec depth = function
+  | Empty | Leaf _ | Bucket _ -> 0
+  | Node (_, children) ->
+      1 + Array.fold_left (fun d c -> max d (depth c)) 0 children
+
+let hamt_of ~hash keys =
+  List.fold_left
+    (fun h k -> fst (C.Hamt.add ~hash ~equal:Int.equal k k h))
+    C.Hamt.empty keys
+
+let test_hamt_shape_transitions () =
+  let hash k = k land 3 and equal = Int.equal in
+  let add k h = fst (C.Hamt.add ~hash ~equal k k h) in
+  let remove k h = fst (C.Hamt.remove ~hash ~equal k h) in
+  let is_shape name want h =
+    check cb name true (want (shape h));
+    check cb (name ^ ": well-formed") true (C.Hamt.well_formed ~hash h)
+  in
+  let h = add 0 C.Hamt.empty in
+  is_shape "one binding is a leaf"
+    (function Leaf (0, 0) -> true | _ -> false)
+    h;
+  let h = add 4 h in
+  is_shape "leaf -> bucket"
+    (function Bucket (0, kvs) -> List.length kvs = 2 | _ -> false)
+    h;
+  let h = add 1 h in
+  is_shape "bucket split"
+    (function Node (0b11, [| Bucket _; Leaf (1, 1) |]) -> true | _ -> false)
+    h;
+  let h = add 5 h in
+  is_shape "leaf -> bucket under a node"
+    (function Node (0b11, [| Bucket _; Bucket _ |]) -> true | _ -> false)
+    h;
+  let h = remove 5 h in
+  is_shape "bucket -> leaf"
+    (function Node (0b11, [| Bucket _; Leaf (1, 1) |]) -> true | _ -> false)
+    h;
+  let h = remove 4 (remove 1 h) in
+  is_shape "collapsed to a leaf" (function Leaf (0, 0) -> true | _ -> false) h;
+  let h = add 2 h in
+  is_shape "leaf split"
+    (function Node (0b101, [| Leaf (0, 0); Leaf (2, 2) |]) -> true | _ -> false)
+    h;
+  (* Two hashes that first differ in the sixth chunk. *)
+  let hash k = (k land 1) lsl 25 in
+  let h = hamt_of ~hash [ 0; 1 ] in
+  check ci "split at the last level" 6 (depth (shape h));
+  check cb "deep split well-formed" true (C.Hamt.well_formed ~hash h);
+  let h = fst (C.Hamt.remove ~hash ~equal 1 h) in
+  check cb "deep chain collapses to a leaf" true
+    (match shape h with Leaf (0, 0) -> true | _ -> false)
+
+let test_hamt_well_formed_rejects () =
+  let hash k = k land 3 in
+  let rejects name s =
+    check cb name false (C.Hamt.well_formed ~hash (of_shape s))
+  in
+  rejects "bucket of one binding" (Bucket (0, [ (0, 0) ]));
+  rejects "empty bucket" (Bucket (0, []));
+  rejects "bucket off its hash" (Bucket (0, [ (0, 0); (1, 1) ]));
+  rejects "node with a lone leaf" (Node (0b1, [| Leaf (0, 0) |]));
+  rejects "node with a lone bucket"
+    (Node (0b1, [| Bucket (0, [ (0, 0); (4, 4) ]) |]));
+  rejects "empty child" (Node (0b11, [| Leaf (0, 0); Empty |]));
+  rejects "leaf off its path" (Node (0b11, [| Leaf (1, 1); Leaf (0, 0) |]));
+  check cb "empty trie" true (C.Hamt.well_formed ~hash C.Hamt.empty)
+
+let test_hamt_remove_canonical () =
+  let hash = Hashtbl.hash and equal = Int.equal in
+  let h = hamt_of ~hash (List.init 1_000 Fun.id) in
+  let h =
+    List.fold_left
+      (fun h k -> fst (C.Hamt.remove ~hash ~equal k h))
+      h
+      (List.init 999 (fun i -> i + 1))
+  in
+  check cb "a single leaf" true
+    (match shape h with Leaf (0, 0) -> true | _ -> false);
+  check cb "well-formed" true (C.Hamt.well_formed ~hash h)
+
+(* One 3-word leaf per binding plus the shared nodes above it. *)
+let test_hamt_footprint () =
+  let n = 100_000 in
+  let h = hamt_of ~hash:Hashtbl.hash (List.init n Fun.id) in
+  let per_binding = float (Obj.reachable_words (Obj.repr h)) /. float n in
+  if per_binding > 6.0 then
+    Alcotest.failf "%.2f reachable words per binding, expected <= 6" per_binding
 
 let test_hamt_collisions () =
   (* Same hash for every key forces collision buckets. *)
@@ -505,6 +609,22 @@ let suite =
     qcheck "hamt matches Map model" hamt_ops_gen prop_hamt_model;
     qcheck "hamt well-formed" hamt_ops_gen prop_hamt_well_formed;
     test "hamt collision buckets" test_hamt_collisions;
+    test "hamt shape transitions" test_hamt_shape_transitions;
+    test "hamt well_formed rejects malformed shapes"
+      test_hamt_well_formed_rejects;
+    test "hamt remove keeps the trie canonical" test_hamt_remove_canonical;
+    test "hamt footprint per binding" test_hamt_footprint;
+  ]
+  @ List.concat_map
+      (fun (name, hash) ->
+        [
+          qcheck ("hamt matches Map model, hash " ^ name) hamt_ops_gen
+            (prop_hamt_model ~hash);
+          qcheck ("hamt well-formed, hash " ^ name) hamt_ops_gen
+            (prop_hamt_well_formed ~hash);
+        ])
+      low_entropy_hashes
+  @ [
     test "ctrie basics" test_ctrie_basics;
     test "ctrie snapshot isolation" test_ctrie_snapshot_isolation;
     slow "ctrie concurrent" test_ctrie_concurrent;

@@ -698,6 +698,65 @@ let test_batch_tick ~shared () =
   let va = (Tvar.load a).Tvar.version and vb = (Tvar.load b).Tvar.version in
   check cb "commit versions" (not shared) (va = vb)
 
+(* Under Serial_commit a transaction waits for the serial gate to be
+   free or quiescent before it adopts a snapshot: at its start, and
+   when it extends its snapshot mid-attempt ([extend]).  The episode
+   deadline bounds both waits.  The test holds the gate busy while a
+   second domain runs a timed episode into one of the waits, and frees
+   it after 2 s either way, so an unbounded wait fails the test instead
+   of hanging it. *)
+let test_serial_gate_deadline ~extend () =
+  let config =
+    {
+      (Stm.get_default_config ()) with
+      Stm.mode = Stm.Serial_commit;
+      extend_reads = true;
+    }
+  in
+  let a = Tvar.make 0 and b = Tvar.make 0 in
+  let hold_gate () =
+    assert (Atomic.compare_and_set Txn_state.commit_gate 0 (-1));
+    Atomic.set Txn_state.gate_quiescent false
+  in
+  let read_a = Atomic.make false and go = Atomic.make (not extend) in
+  if not extend then hold_gate ();
+  let start = Clock.now_mono () in
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        let o =
+          Stm.atomic ~config ~deadline:(Clock.now_mono () +. 0.05) (fun txn ->
+              ignore (Stm.read txn a);
+              Atomic.set read_a true;
+              while not (Atomic.get go) do
+                Domain.cpu_relax ()
+              done;
+              Stm.write txn a (Stm.read txn b + 1))
+        in
+        Atomic.set result (Some (Stm.Outcome.name o, Clock.now_mono ())))
+  in
+  if extend then begin
+    while not (Atomic.get read_a) do
+      Domain.cpu_relax ()
+    done;
+    (* [b]'s new version is past the reader's snapshot, so reading it
+       extends the snapshot. *)
+    Stm.atomically ~config (fun txn -> Stm.write txn b 1);
+    hold_gate ();
+    Atomic.set go true
+  end;
+  while Atomic.get result = None && Clock.now_mono () < start +. 2.0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set Txn_state.commit_gate 0;
+  Domain.join d;
+  match Atomic.get result with
+  | None -> Alcotest.fail "no outcome"
+  | Some (outcome, at) ->
+      check cs "outcome" "timed-out" outcome;
+      check cb "within 1 s" true (at -. start < 1.0);
+      check ci "no write" 0 (Tvar.load a).Tvar.value
+
 let test_nested_flattening () =
   let a = Tvar.make 0 and b = Tvar.make 0 in
   let v =
@@ -777,4 +836,8 @@ let suite =
   @ [
       test "batch entries share the tick" (test_batch_tick ~shared:false);
       test "same-tvar batch entries tick apart" (test_batch_tick ~shared:true);
+      test "serial start honours the deadline"
+        (test_serial_gate_deadline ~extend:false);
+      test "serial extension honours the deadline"
+        (test_serial_gate_deadline ~extend:true);
     ]

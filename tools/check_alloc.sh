@@ -16,7 +16,10 @@
 #                                           and its commit-time replay;
 #   stm-map   serial-commit t=1 u=1   o=16  group commit: at t=1 every
 #                                           writing commit is a combiner
-#                                           election.
+#                                           election;
+#   lazy-snap lazy-lazy     t=1 u=1   o=16  the lazy snapshot trie map:
+#                                           Ctrie shadow copies and the
+#                                           persistent HAMT's path copies.
 #
 # The cells are single-threaded on purpose: no contention means no
 # aborts, so words-per-commit is a deterministic property of the code
