@@ -78,7 +78,6 @@ let to_buffer ~indent t =
   b
 
 let to_string t = Buffer.contents (to_buffer ~indent:false t)
-let to_string_pretty t = Buffer.contents (to_buffer ~indent:true t)
 let output oc t = Buffer.output_buffer oc (to_buffer ~indent:false t)
 
 let write_file path t =

@@ -13,9 +13,6 @@ type t =
 
 val to_string : t -> string
 
-(** Pretty-printed with two-space indentation (reports stay diffable). *)
-val to_string_pretty : t -> string
-
 val output : out_channel -> t -> unit
 val write_file : string -> t -> unit
 

@@ -233,14 +233,6 @@ module Watchdog : sig
   (** Serial-gate breaks performed since program start. *)
   val breaks : unit -> int
 
-  (** The adaptive kill threshold in nanoseconds (exposed for tests). *)
-  val threshold_ns : config -> int
-
-  (** One synchronous pass over the watch slots (exposed for tests;
-      {!start} runs this in a loop).  Requires stamping to be armed
-      via {!Txn_state.set_watchdog} to observe anything. *)
-  val scan_once : ?config:config -> unit -> unit
-
   type t
 
   (** Arm watch-slot stamping and spawn the supervisor domain. *)

@@ -109,8 +109,8 @@ val atomically : ?config:config -> (txn -> 'a) -> 'a
 (** Whether this domain is currently inside an [atomically] body —
     i.e. a nested [atomically] here would join rather than start a
     transaction.  For operations that are deliberately
-    non-compositional (multi-transaction protocols such as
-    [Semaphore.acquire_fair]) and must refuse to be flattened. *)
+    non-compositional (multi-transaction protocols) and must refuse to
+    be flattened. *)
 val in_transaction : unit -> bool
 
 (** [read_only f] runs [f] as a {e read-only snapshot transaction}:

@@ -469,7 +469,6 @@ type watch_slot = {
 
 let watchdog_on = Atomic.make false
 let set_watchdog b = Atomic.set watchdog_on b
-let watchdog_enabled () = Atomic.get watchdog_on
 let watch_slots : watch_slot list Atomic.t = Atomic.make []
 
 let rec register_watch_slot ws =

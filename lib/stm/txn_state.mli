@@ -198,8 +198,6 @@ type watch_slot = {
     attempt). *)
 val set_watchdog : bool -> unit
 
-val watchdog_enabled : unit -> bool
-
 (** All registered slots (one per domain that ran a transaction). *)
 val watch_list : unit -> watch_slot list
 

@@ -42,9 +42,6 @@ let min_binding t txn = Om.Snapshot.min_binding (Stm.read txn t.root)
 let max_binding t txn = Om.Snapshot.max_binding (Stm.read txn t.root)
 let bindings t txn = Om.Snapshot.bindings (Stm.read txn t.root)
 
-(** Committed bindings, non-transactionally. *)
-let peek_bindings t = Om.Snapshot.bindings (Tvar.peek t.root)
-
 let map_ops t : ('k, 'v) Trait.Map.ops =
   {
     meta = Trait.meta ~name:"omap-snap" ~strategy:Update_strategy.Lazy ();

@@ -20,7 +20,4 @@ val min_binding : ('k, 'v) t -> Stm.txn -> ('k * 'v) option
 val max_binding : ('k, 'v) t -> Stm.txn -> ('k * 'v) option
 val bindings : ('k, 'v) t -> Stm.txn -> ('k * 'v) list
 
-(** Committed bindings, non-transactionally. *)
-val peek_bindings : ('k, 'v) t -> ('k * 'v) list
-
 val map_ops : ('k, 'v) t -> ('k, 'v) Trait.Map.ops

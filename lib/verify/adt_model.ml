@@ -193,40 +193,6 @@ let small_queue ?(values = [ 0; 1 ]) ?(max_len = 3) () :
   }
 
 (* ------------------------------------------------------------------ *)
-
-type bq_op = BEnq of int | BDeq | BFront | BSize
-type bq_ret = BBool of bool | BVal of int option | BInt of int
-
-let bounded_queue ?(values = [ 0; 1 ]) ~cap () : (int list, bq_op, bq_ret) t =
-  {
-    name = Printf.sprintf "bounded-queue-%d" cap;
-    states = all_lists ~values ~max_len:cap;
-    ops = [ BDeq; BFront; BSize ] @ List.map (fun v -> BEnq v) values;
-    apply =
-      (fun s op ->
-        match op with
-        | BEnq v ->
-            if List.length s >= cap then (s, BBool false)
-            else (s @ [ v ], BBool true)
-        | BDeq -> (
-            match s with
-            | [] -> ([], BVal None)
-            | x :: rest -> (rest, BVal (Some x)))
-        | BFront -> (s, BVal (match s with [] -> None | x :: _ -> Some x))
-        | BSize -> (s, BInt (List.length s)));
-    equal_state = (fun a b -> a = b);
-    equal_ret = (fun a b -> a = b);
-    show_state =
-      (fun s -> "<" ^ String.concat ";" (List.map string_of_int s) ^ ">");
-    show_op =
-      (function
-      | BEnq v -> Printf.sprintf "benq(%d)" v
-      | BDeq -> "bdeq"
-      | BFront -> "bfront"
-      | BSize -> "bsize");
-  }
-
-(* ------------------------------------------------------------------ *)
 (* A small LIFO stack (top-first list).                                *)
 
 type st_op = StPush of int | StPop | StTop

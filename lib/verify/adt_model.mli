@@ -56,18 +56,6 @@ val all_lists : values:int list -> max_len:int -> int list list
 val small_queue :
   ?values:int list -> ?max_len:int -> unit -> (int list, q_op, q_ret) t
 
-(** {1 A small bounded FIFO queue}
-
-    A capacity-[cap] queue whose enqueue {e reports} fullness instead
-    of blocking — the sequential witness for the non-blocking face of
-    {!Proust_sync.Channel} ([try_send]/[try_recv]). *)
-
-type bq_op = BEnq of int | BDeq | BFront | BSize
-type bq_ret = BBool of bool | BVal of int option | BInt of int
-
-val bounded_queue :
-  ?values:int list -> cap:int -> unit -> (int list, bq_op, bq_ret) t
-
 (** {1 A small LIFO stack (top-first list)} *)
 
 type st_op = StPush of int | StPop | StTop

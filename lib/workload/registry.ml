@@ -11,7 +11,6 @@
 
 module S = Proust_structures
 module B = Proust_baselines
-module Y = Proust_sync
 module T = S.Trait
 
 type target =
@@ -118,16 +117,7 @@ let all ?(slots = 1024) () =
         S.P_pqueue.ops (S.P_pqueue.make ~cmp:compare ~lap:T.Pessimistic ()));
     pqueue_entry "pq-lazy" (fun () ->
         S.P_lazy_pqueue.ops (S.P_lazy_pqueue.make ~cmp:compare ()));
-    (* -- blocking-coordination structures (lib/sync) ----------------- *)
-    (* The registry channel's capacity is far above any workload's live
-       element count so the blocking enqueue never parks a bench or lin
-       run; bounded blocking semantics are tested separately. *)
-    queue_entry "chan-mpmc" (fun () ->
-        Y.Channel.ops (Y.Channel.make ~capacity:1_000_000 ()));
-    queue_entry "promise-fifo" (fun () ->
-        Y.Promise_fifo.ops (Y.Promise_fifo.make ()));
     (* -- counters ------------------------------------------------- *)
-    counter_entry "semaphore" (fun () -> Y.Semaphore.ops (Y.Semaphore.make 0));
     counter_entry "p-counter" (fun () ->
         S.P_counter.ops (S.P_counter.make ~observable:true ()));
     (* The striped escape hatch, A/B against "p-counter". *)
@@ -135,20 +125,10 @@ let all ?(slots = 1024) () =
         S.P_striped_counter.ops (S.P_striped_counter.make ()));
   ]
 
-let is_map e = match e.target with Map _ -> true | _ -> false
-let is_queue e = match e.target with Queue _ -> true | _ -> false
-let is_pqueue e = match e.target with Pqueue _ -> true | _ -> false
-let is_counter e = match e.target with Counter _ -> true | _ -> false
-let maps ?slots () = List.filter is_map (all ?slots ())
-let queues ?slots () = List.filter is_queue (all ?slots ())
-let pqueues ?slots () = List.filter is_pqueue (all ?slots ())
-let counters ?slots () = List.filter is_counter (all ?slots ())
+let maps ?slots () =
+  List.filter
+    (fun e -> match e.target with Map _ -> true | _ -> false)
+    (all ?slots ())
+
 let find ?slots name = List.find_opt (fun e -> e.name = name) (all ?slots ())
 let names ?slots () = List.map (fun e -> e.name) (all ?slots ())
-
-let kind_name e =
-  match e.target with
-  | Map _ -> "map"
-  | Queue _ -> "queue"
-  | Pqueue _ -> "pqueue"
-  | Counter _ -> "counter"

@@ -31,11 +31,5 @@ val config_for : Proust_structures.Trait.meta -> Stm.config option
 
 val all : ?slots:int -> unit -> entry list
 val maps : ?slots:int -> unit -> entry list
-val queues : ?slots:int -> unit -> entry list
-val pqueues : ?slots:int -> unit -> entry list
-val counters : ?slots:int -> unit -> entry list
 val find : ?slots:int -> string -> entry option
 val names : ?slots:int -> unit -> string list
-
-(** ["map"], ["queue"], ["pqueue"] or ["counter"]. *)
-val kind_name : entry -> string

@@ -228,9 +228,3 @@ let run_entry ?chaos ?chaos_seed ?dist ?trials ?warmup ?label ~threads ~spec
   | Registry.Counter make ->
       run_counter ?config:e.Registry.config ?chaos ?chaos_seed ?trials ?warmup
         ~label ~threads ~spec make
-
-(** Share of transaction attempts that escalated to the
-    serial-irrevocable fallback during the measured trials. *)
-let fallback_rate (r : result) =
-  if r.stats.Stats.starts = 0 then 0.0
-  else float_of_int r.stats.Stats.fallbacks /. float_of_int r.stats.Stats.starts

@@ -107,7 +107,3 @@ val run_entry :
   spec:Workload.spec ->
   Registry.entry ->
   result
-
-(** Share of attempts that escalated to the serial-irrevocable
-    fallback during the measured trials. *)
-val fallback_rate : result -> float

@@ -485,12 +485,11 @@ let test_combine_off_bypasses_handoff () =
 (* Injection at the three parking points — forced spurious unparks
    before blocking, delays in the wake-to-revalidate window, and
    dropped/delayed wakeups at commit — under producer/consumer stress.
-   Deadline-bounded receives absorb the dropped wakeups; afterwards the
+   Deadline-bounded takes absorb the dropped wakeups; afterwards the
    leak audit must see no orphaned wait-list entries anywhere. *)
 let test_park_unpark_chaos () =
   with_seed_note (fun () ->
-      let module Y = Proust_sync in
-      let ch = Y.Channel.make ~capacity:4 () in
+      let b = Bounded.make 4 in
       Fault.configure ~seed:(sub_seed 0x9a7)
         [
           ( Fault.Pre_park,
@@ -510,7 +509,7 @@ let test_park_unpark_chaos () =
                     while !continue do
                       let i = Atomic.fetch_and_add produced 1 in
                       if i < total then
-                        Stm.atomically (fun txn -> Y.Channel.send txn ch i)
+                        Stm.atomically (fun txn -> Bounded.put txn b i)
                       else continue := false
                     done))
           in
@@ -524,7 +523,7 @@ let test_park_unpark_chaos () =
                         match
                           Stm.atomic
                             ~deadline:(Clock.now_mono () +. 0.05)
-                            (fun txn -> Y.Channel.recv txn ch)
+                            (fun txn -> Bounded.take txn b)
                         with
                         | Stm.Outcome.Committed _ -> Atomic.incr consumed
                         | _ -> ()

@@ -637,122 +637,216 @@ let omap_txn name make =
         | M.ORemove k -> M.OVal (remove txn k)
         | M.ORange (lo, hi) -> M.OList (range txn lo hi))
 
-(* -- blocking-coordination structures (lib/sync) -------------------- *)
+(* -- retry/or_else idioms on plain tvars ---------------------------- *)
 
-module Y = Proust_sync
+(* Each case's non-blocking faces run a blocking [Stm.retry] branch
+   under an [or_else] fallback, so the checker sees [or_else] roll back
+   an abandoned branch, writes included, under every mode. *)
+let attempt txn f = Stm.or_else txn (fun txn -> Some (f txn)) (fun _ -> None)
+let show_ints l = String.concat ";" (List.map string_of_int l)
 
-(* The bounded face of the channel: try_send reports fullness instead
-   of parking, so a cap-2 channel is checkable against the bounded
-   FIFO model (the registry's chan-mpmc entry covers the unbounded
-   face; blocking semantics live in test_sync). *)
-let chan_bounded_txn () =
-  V.Lin_harness.txn_instance "chan-bounded"
-    ~model:(M.bounded_queue ~cap:2 ())
-    ~init:[]
-    (fun () ->
-      let ch = Y.Channel.make ~capacity:2 () in
-      fun txn op ->
-        match op with
-        | M.BEnq v -> M.BBool (Y.Channel.try_send txn ch v)
-        | M.BDeq -> M.BVal (Y.Channel.try_recv txn ch)
-        | M.BFront -> M.BVal (Y.Channel.peek_opt txn ch)
-        | M.BSize -> M.BInt (Y.Channel.size txn ch))
+type bq_op = BPut of int | BTake | BSize
+type bq_ret = BBool of bool | BVal of int option | BInt of int
 
-(* One-shot promise cell: first-writer-wins, write-once. *)
-type pr_op = PrTry of int | PrPeek | PrDone
-type pr_ret = PrBool of bool | PrVal of int option
-
-let promise_model : (int option, pr_op, pr_ret) M.t =
+(* [Util.Bounded] at capacity 2: a put on a full buffer reports false. *)
+let bounded_model : (int list, bq_op, bq_ret) M.t =
   {
-    M.name = "promise-cell";
-    states = [ None; Some 0; Some 1 ];
-    ops = [ PrTry 0; PrTry 1; PrPeek; PrDone ];
+    M.name = "tvar-bounded";
+    states = M.all_lists ~values:[ 0; 1 ] ~max_len:2;
+    ops = [ BPut 0; BPut 1; BTake; BSize ];
     apply =
       (fun s op ->
+        match (op, s) with
+        | BPut v, _ ->
+            if List.length s >= 2 then (s, BBool false)
+            else (s @ [ v ], BBool true)
+        | BTake, [] -> (s, BVal None)
+        | BTake, x :: rest -> (rest, BVal (Some x))
+        | BSize, _ -> (s, BInt (List.length s)));
+    equal_state = ( = );
+    equal_ret = ( = );
+    show_state = (fun s -> "<" ^ show_ints s ^ ">");
+    show_op =
+      (function
+      | BPut v -> Printf.sprintf "put(%d)" v | BTake -> "take" | BSize -> "size");
+  }
+
+let bounded_txn () =
+  V.Lin_harness.txn_instance "tvar-bounded" ~model:bounded_model ~init:[]
+    (fun () ->
+      let b = Bounded.make 2 in
+      fun txn op ->
         match op with
-        | PrTry v -> (
-            match s with
-            | None -> (Some v, PrBool true)
-            | Some _ -> (s, PrBool false))
-        | PrPeek -> (s, PrVal s)
-        | PrDone -> (s, PrBool (s <> None)));
+        | BPut v -> BBool (attempt txn (fun txn -> Bounded.put txn b v) <> None)
+        | BTake -> BVal (attempt txn (fun txn -> Bounded.take txn b))
+        | BSize -> BInt (Bounded.size txn b))
+
+(* A write-once cell: first writer wins, [peek] awaits with a default. *)
+type cell_op = CellTry of int | CellPeek | CellDone
+type cell_ret = CellBool of bool | CellVal of int option
+
+let cell_model : (int option, cell_op, cell_ret) M.t =
+  {
+    M.name = "tvar-cell";
+    states = [ None; Some 0; Some 1 ];
+    ops = [ CellTry 0; CellTry 1; CellPeek; CellDone ];
+    apply =
+      (fun s op ->
+        match (op, s) with
+        | CellTry v, None -> (Some v, CellBool true)
+        | CellTry _, Some _ -> (s, CellBool false)
+        | CellPeek, _ -> (s, CellVal s)
+        | CellDone, _ -> (s, CellBool (s <> None)));
     equal_state = ( = );
     equal_ret = ( = );
     show_state =
-      (function None -> "empty" | Some v -> "full(" ^ string_of_int v ^ ")");
+      (function None -> "empty" | Some v -> Printf.sprintf "full(%d)" v);
     show_op =
       (function
-      | PrTry v -> Printf.sprintf "try_fulfil(%d)" v
-      | PrPeek -> "peek"
-      | PrDone -> "is_fulfilled");
+      | CellTry v -> Printf.sprintf "try_set(%d)" v
+      | CellPeek -> "peek"
+      | CellDone -> "is_set");
   }
 
-let promise_txn () =
-  V.Lin_harness.txn_instance "promise-cell" ~model:promise_model ~init:None
+let cell_txn () =
+  V.Lin_harness.txn_instance "tvar-cell" ~model:cell_model ~init:None
     (fun () ->
-      let p = Y.Promise.make () in
+      let c = Tvar.make None in
+      let await txn =
+        match Stm.read txn c with None -> Stm.retry txn | Some v -> v
+      in
       fun txn op ->
         match op with
-        | PrTry v -> PrBool (Y.Promise.try_fulfil txn p v)
-        | PrPeek -> PrVal (Y.Promise.peek txn p)
-        | PrDone -> PrBool (Y.Promise.is_fulfilled txn p))
+        | CellTry v ->
+            CellBool
+              (attempt txn (fun txn ->
+                   Stm.guard txn (Stm.read txn c = None);
+                   Stm.write txn c (Some v))
+              <> None)
+        | CellPeek -> CellVal (attempt txn await)
+        | CellDone -> CellBool (Stm.read txn c <> None))
 
-(* Biased select over two channels: the witness must show every pick
-   draining channel 1 before touching channel 2. *)
-type sel_op = SelEnq1 of int | SelEnq2 of int | SelPick
-type sel_ret = SelUnit | SelVal of int option
+(* A biased pick over two queues through [or_else_list]: the witness
+   must show every pick draining the first queue before the second. *)
+type pick_op = Enq1 of int | Enq2 of int | Pick
+type pick_ret = PickUnit | PickVal of int option
 
-let select_model : (int list * int list, sel_op, sel_ret) M.t =
+let pick_model : (int list * int list, pick_op, pick_ret) M.t =
   let lists = M.all_lists ~values:[ 0; 1 ] ~max_len:2 in
   {
-    M.name = "select-biased";
+    M.name = "or-else-biased";
     states = List.concat_map (fun a -> List.map (fun b -> (a, b)) lists) lists;
-    ops = [ SelEnq1 0; SelEnq1 1; SelEnq2 0; SelEnq2 1; SelPick ];
+    ops = [ Enq1 0; Enq1 1; Enq2 0; Enq2 1; Pick ];
+    apply =
+      (fun (a, b) op ->
+        match (op, a, b) with
+        | Enq1 v, _, _ -> ((a @ [ v ], b), PickUnit)
+        | Enq2 v, _, _ -> ((a, b @ [ v ]), PickUnit)
+        | Pick, x :: rest, _ -> ((rest, b), PickVal (Some x))
+        | Pick, [], x :: rest -> ((a, rest), PickVal (Some x))
+        | Pick, [], [] -> ((a, b), PickVal None));
+    equal_state = ( = );
+    equal_ret = ( = );
+    show_state =
+      (fun (a, b) -> Printf.sprintf "<%s|%s>" (show_ints a) (show_ints b));
+    show_op =
+      (function
+      | Enq1 v -> Printf.sprintf "enq1(%d)" v
+      | Enq2 v -> Printf.sprintf "enq2(%d)" v
+      | Pick -> "pick");
+  }
+
+let pick_txn () =
+  V.Lin_harness.txn_instance "or-else-biased" ~model:pick_model
+    ~init:([], []) (fun () ->
+      let q1 = Tvar.make [] and q2 = Tvar.make [] in
+      let enq q v txn =
+        Stm.write txn q (Stm.read txn q @ [ v ]);
+        PickUnit
+      in
+      let take q txn =
+        match Stm.read txn q with
+        | [] -> Stm.retry txn
+        | x :: rest ->
+            Stm.write txn q rest;
+            PickVal (Some x)
+      in
+      fun txn op ->
+        match op with
+        | Enq1 v -> enq q1 v txn
+        | Enq2 v -> enq q2 v txn
+        | Pick ->
+            Stm.or_else_list txn [ take q1; take q2; (fun _ -> PickVal None) ])
+
+(* A counting semaphore whose acquire debits before it checks: the
+   retried branch's write must not survive [or_else]. *)
+let semaphore_txn () =
+  V.Lin_harness.txn_instance "tvar-semaphore" ~model:(M.obs_counter ~bound:4)
+    ~init:0 (fun () ->
+      let permits = Tvar.make 0 in
+      fun txn op ->
+        match op with
+        | M.CIncr ->
+            Stm.write txn permits (Stm.read txn permits + 1);
+            M.CUnit
+        | M.CDecr ->
+            let acquire txn =
+              let n = Stm.read txn permits - 1 in
+              Stm.write txn permits n;
+              Stm.guard txn (n >= 0)
+            in
+            M.CBool (attempt txn acquire <> None)
+        | M.CGet -> M.CInt (Stm.read txn permits))
+
+(* Two accounts; [shift] moves a unit from the first to the second,
+   else back, else reports 0.  Each branch writes both accounts before
+   it checks, so the nested [or_else] must undo every abandoned one. *)
+type acct_op = Deposit | Shift | Balances
+type acct_ret = AcctUnit | Moved of int | Pair of int * int
+
+let accounts_model : (int * int, acct_op, acct_ret) M.t =
+  let small = [ 0; 1; 2 ] in
+  {
+    M.name = "or-else-nested";
+    states = List.concat_map (fun a -> List.map (fun b -> (a, b)) small) small;
+    ops = [ Deposit; Shift; Balances ];
     apply =
       (fun (a, b) op ->
         match op with
-        | SelEnq1 v -> ((a @ [ v ], b), SelUnit)
-        | SelEnq2 v -> ((a, b @ [ v ]), SelUnit)
-        | SelPick -> (
-            match (a, b) with
-            | x :: rest, _ -> ((rest, b), SelVal (Some x))
-            | [], x :: rest -> ((a, rest), SelVal (Some x))
-            | [], [] -> ((a, b), SelVal None)));
+        | Deposit -> ((a + 1, b), AcctUnit)
+        | Shift when a > 0 -> ((a - 1, b + 1), Moved 1)
+        | Shift when b > 0 -> ((a + 1, b - 1), Moved (-1))
+        | Shift -> ((a, b), Moved 0)
+        | Balances -> ((a, b), Pair (a, b)));
     equal_state = ( = );
     equal_ret = ( = );
-    show_state =
-      (fun (a, b) ->
-        let sh l = String.concat ";" (List.map string_of_int l) in
-        Printf.sprintf "<%s|%s>" (sh a) (sh b));
+    show_state = (fun (a, b) -> Printf.sprintf "(%d,%d)" a b);
     show_op =
       (function
-      | SelEnq1 v -> Printf.sprintf "enq1(%d)" v
-      | SelEnq2 v -> Printf.sprintf "enq2(%d)" v
-      | SelPick -> "pick");
+      | Deposit -> "deposit" | Shift -> "shift" | Balances -> "balances");
   }
 
-let select_txn () =
-  V.Lin_harness.txn_instance "select-biased" ~model:select_model
-    ~init:([], [])
-    (fun () ->
-      let ch1 = Y.Channel.make ~capacity:64 () in
-      let ch2 = Y.Channel.make ~capacity:64 () in
+let accounts_txn () =
+  V.Lin_harness.txn_instance "or-else-nested" ~model:accounts_model
+    ~init:(0, 0) (fun () ->
+      let a = Tvar.make 0 and b = Tvar.make 0 in
+      let move src dst dir txn =
+        let left = Stm.read txn src - 1 in
+        Stm.write txn src left;
+        Stm.write txn dst (Stm.read txn dst + 1);
+        Stm.guard txn (left >= 0);
+        dir
+      in
       fun txn op ->
         match op with
-        | SelEnq1 v ->
-            Y.Channel.send txn ch1 v;
-            SelUnit
-        | SelEnq2 v ->
-            Y.Channel.send txn ch2 v;
-            SelUnit
-        | SelPick ->
-            SelVal
-              (Y.Select.select_biased txn
-                 [
-                   Y.Select.recv ch1 (fun v -> Some v);
-                   Y.Select.recv ch2 (fun v -> Some v);
-                   Y.Select.default (fun () -> None);
-                 ]))
+        | Deposit ->
+            Stm.write txn a (Stm.read txn a + 1);
+            AcctUnit
+        | Shift ->
+            Moved
+              (Stm.or_else txn (move a b 1) (fun txn ->
+                   Stm.or_else txn (move b a (-1)) (fun _ -> 0)))
+        | Balances -> Pair (Stm.read txn a, Stm.read txn b))
 
 (* The registry supplies every map/queue/pqueue point of the design
    space (Proustian wrappers and baselines alike); its trait headers
@@ -840,18 +934,22 @@ let ser_cases =
                 fun txn lo hi -> S.P_skipmap.range t txn ~lo ~hi ));
         modes = all_modes;
       };
-    (* The sync family's non-registry faces: bounded-channel capacity,
-       promise single-fulfilment, and biased-select priority. *)
+    (* Blocking idioms on plain tvars: [retry] under [or_else]. *)
+    Ser { s_name = "tvar-bounded"; instance = bounded_txn (); modes = all_modes };
+    Ser { s_name = "tvar-cell"; instance = cell_txn (); modes = all_modes };
+    Ser { s_name = "or-else-biased"; instance = pick_txn (); modes = all_modes };
     Ser
       {
-        s_name = "chan-bounded";
-        instance = chan_bounded_txn ();
+        s_name = "tvar-semaphore";
+        instance = semaphore_txn ();
         modes = all_modes;
       };
     Ser
-      { s_name = "promise-cell"; instance = promise_txn (); modes = all_modes };
-    Ser
-      { s_name = "select-biased"; instance = select_txn (); modes = all_modes };
+      {
+        s_name = "or-else-nested";
+        instance = accounts_txn ();
+        modes = all_modes;
+      };
   ]
 
 let ser_tests =

@@ -122,11 +122,17 @@ let test_retry_wakes_on_change () =
 
 (* A retry with nothing read can never be woken; the episode must fail
    with the typed [Retry_no_reads] (not block, not a bare [Failure]),
-   and the pooled record must come back clean. *)
+   and the pooled record must come back clean.  An [or_else_list]
+   whose only alternative retries on nothing fails the same way. *)
 let test_retry_empty_read_set_fails () =
   (match Stm.atomically (fun txn -> Stm.retry txn) with
   | exception Stm.Retry_no_reads -> ()
   | _ -> Alcotest.fail "expected Retry_no_reads");
+  (match
+     Stm.atomic (fun txn -> Stm.or_else_list txn [ (fun t -> Stm.retry t) ])
+   with
+  | exception Stm.Retry_no_reads -> ()
+  | _ -> Alcotest.fail "expected Retry_no_reads from empty-read or_else_list");
   Stm.descriptor_pool_check ()
 
 let test_or_else_first_branch () =

@@ -1,472 +1,75 @@
-(** Blocking-coordination suite for the [lib/sync] family and the
-    parking retry path beneath it.
+(** Parking suite: blocking [Stm.retry] on plain tvars.
 
-    Functional semantics (channel FIFO/close, promise single
-    fulfilment, semaphore non-negativity, select fairness and bias)
-    run single- and multi-domain; the parking-specific tests pin the
-    tentpole properties — a parked retry consumes no busy-poll
-    iterations, deadlines are honored while parked, an empty-read-set
-    retry fails typed, and a deliberately broken waker (dropped
-    wakeups via {!Fault.Commit_wake}) is caught by deadline-bounded
-    parks instead of hanging the domain.
+    A blocked retry parks its domain on every tvar it read and is woken
+    by the commit that changes one of them.  These tests pin that path:
+    a parked retry consumes no busy-poll iterations, the legacy [Poll]
+    mode still polls, deadlines are honored while parked, a blocked
+    [or_else] parks once on the union of its branches' read sets, one
+    commit wakes every waiter parked on a tvar, and a deliberately
+    broken waker (dropped wakeups via {!Fault.Commit_wake}) is caught by
+    deadline-bounded parks instead of hanging the domain.
 
     Multi-domain width scales with [PROUST_SYNC_DOMAINS] (CI runs the
     suite at 2 and 8). *)
 
 open Util
-module Y = Proust_sync
 
 let sync_domains =
   match Sys.getenv_opt "PROUST_SYNC_DOMAINS" with
   | None -> 4
   | Some s -> max 2 (int_of_string s)
 
-(* ------------------------------------------------------------------ *)
-(* Channel semantics, single-domain                                     *)
-
-let test_channel_fifo () =
-  let ch = Y.Channel.make ~capacity:8 () in
-  Stm.atomically (fun txn ->
-      for i = 1 to 5 do
-        Y.Channel.send txn ch i
-      done);
-  check ci "size" 5 (Stm.atomically (fun txn -> Y.Channel.size txn ch));
-  check copt_i "peek" (Some 1)
-    (Stm.atomically (fun txn -> Y.Channel.peek_opt txn ch));
-  let out =
-    List.init 5 (fun _ -> Stm.atomically (fun txn -> Y.Channel.recv txn ch))
-  in
-  check clist_i "fifo order" [ 1; 2; 3; 4; 5 ] out;
-  check copt_i "drained" None
-    (Stm.atomically (fun txn -> Y.Channel.try_recv txn ch))
-
-let test_channel_capacity () =
-  let ch = Y.Channel.make ~capacity:2 () in
-  Stm.atomically (fun txn ->
-      check cb "send 1" true (Y.Channel.try_send txn ch 1);
-      check cb "send 2" true (Y.Channel.try_send txn ch 2);
-      check cb "full" false (Y.Channel.try_send txn ch 3));
-  Stm.atomically (fun txn -> ignore (Y.Channel.recv txn ch));
-  check cb "slot freed" true
-    (Stm.atomically (fun txn -> Y.Channel.try_send txn ch 3))
-
-let test_channel_close () =
-  let ch = Y.Channel.make ~capacity:4 () in
-  Stm.atomically (fun txn ->
-      Y.Channel.send txn ch 1;
-      Y.Channel.close txn ch);
-  (* Sends fail immediately; receives drain the buffer first. *)
-  (match Stm.atomically (fun txn -> Y.Channel.send txn ch 2) with
-  | exception Y.Channel.Closed -> ()
-  | () -> Alcotest.fail "send on closed channel succeeded");
-  check ci "drains buffered" 1
-    (Stm.atomically (fun txn -> Y.Channel.recv txn ch));
-  check copt_i "then None" None
-    (Stm.atomically (fun txn -> Y.Channel.recv_opt txn ch));
-  match Stm.atomically (fun txn -> Y.Channel.recv txn ch) with
-  | exception Y.Channel.Closed -> ()
-  | _ -> Alcotest.fail "recv on drained closed channel succeeded"
-
-(* ------------------------------------------------------------------ *)
-(* Producer/consumer pipelines                                          *)
-
-(* A capacity-4 channel forces both park directions under load:
-   producers block on a full buffer, consumers on an empty one. *)
-let test_pipeline_conservation () =
-  with_seed_note (fun () ->
-      let n_prod = sync_domains / 2 and n_cons = sync_domains / 2 in
-      let per_prod = 200 in
-      let ch = Y.Channel.make ~capacity:4 () in
-      let consumed = Atomic.make 0 in
-      let sum = Atomic.make 0 in
-      let total = n_prod * per_prod in
-      let producers =
-        List.init n_prod (fun p ->
-            Domain.spawn (fun () ->
-                for i = 1 to per_prod do
-                  Stm.atomically (fun txn ->
-                      Y.Channel.send txn ch ((p * per_prod) + i))
-                done))
-      in
-      let consumers =
-        List.init n_cons (fun _ ->
-            Domain.spawn (fun () ->
-                let continue = ref true in
-                while !continue do
-                  if Atomic.fetch_and_add consumed 1 < total then
-                    let v =
-                      Stm.atomically (fun txn -> Y.Channel.recv txn ch)
-                    in
-                    ignore (Atomic.fetch_and_add sum v)
-                  else continue := false
-                done))
-      in
-      List.iter Domain.join producers;
-      List.iter Domain.join consumers;
-      check ci "every element received exactly once"
-        (total * (total + 1) / 2)
-        (Atomic.get sum);
-      check ci "channel drained" 0
-        (Stm.atomically (fun txn -> Y.Channel.size txn ch));
-      check ci "no waiters left behind" 0 (Stm.parked_waiters ()))
-
-(* Fan-out then fan-in: one source, [w] workers, one sink channel.
-   Closing the stage channels releases the blocked workers. *)
-let test_fan_out_fan_in () =
-  with_seed_note (fun () ->
-      let w = sync_domains in
-      let jobs = Y.Channel.make ~capacity:4 () in
-      let results = Y.Channel.make ~capacity:4 () in
-      let n = 100 in
-      let workers =
-        List.init w (fun _ ->
-            Domain.spawn (fun () ->
-                let continue = ref true in
-                while !continue do
-                  match
-                    Stm.atomically (fun txn -> Y.Channel.recv_opt txn jobs)
-                  with
-                  | None -> continue := false
-                  | Some v ->
-                      Stm.atomically (fun txn ->
-                          Y.Channel.send txn results (v * 2))
-                done))
-      in
-      let sink =
-        Domain.spawn (fun () ->
-            let acc = ref 0 in
-            for _ = 1 to n do
-              acc :=
-                !acc + Stm.atomically (fun txn -> Y.Channel.recv txn results)
-            done;
-            !acc)
-      in
-      for i = 1 to n do
-        Stm.atomically (fun txn -> Y.Channel.send txn jobs i)
-      done;
-      Stm.atomically (fun txn -> Y.Channel.close txn jobs);
-      List.iter Domain.join workers;
-      check ci "fan-in total" (n * (n + 1)) (Domain.join sink);
-      check ci "no waiters left behind" 0 (Stm.parked_waiters ()))
-
-(* ------------------------------------------------------------------ *)
-(* Select                                                               *)
-
-let test_select_rotates () =
-  let a = Y.Channel.make ~capacity:64 () in
-  let b = Y.Channel.make ~capacity:64 () in
-  Stm.atomically (fun txn ->
-      for i = 1 to 8 do
-        Y.Channel.send txn a i;
-        Y.Channel.send txn b (100 + i)
-      done);
-  (* Both cases stay ready the whole time; the rotation tick must give
-     each side at least one pick across consecutive selects. *)
-  let from_a = ref 0 and from_b = ref 0 in
-  for _ = 1 to 8 do
-    let v =
-      Stm.atomically (fun txn ->
-          Y.Select.select txn
-            [
-              Y.Select.recv a (fun v -> v); Y.Select.recv b (fun v -> v);
-            ])
-    in
-    if v < 100 then incr from_a else incr from_b
-  done;
-  check cb "rotation reaches both sides" true (!from_a > 0 && !from_b > 0)
-
-let test_select_biased_priority () =
-  let a = Y.Channel.make ~capacity:64 () in
-  let b = Y.Channel.make ~capacity:64 () in
-  Stm.atomically (fun txn ->
-      Y.Channel.send txn a 1;
-      Y.Channel.send txn b 2);
-  (* Biased select must drain [a] before touching [b]. *)
-  let first =
-    Stm.atomically (fun txn ->
-        Y.Select.select_biased txn
-          [ Y.Select.recv a (fun v -> v); Y.Select.recv b (fun v -> v) ])
-  in
-  check ci "first pick from channel a" 1 first;
-  let second =
-    Stm.atomically (fun txn ->
-        Y.Select.select_biased txn
-          [ Y.Select.recv a (fun v -> v); Y.Select.recv b (fun v -> v) ])
-  in
-  check ci "then falls through to b" 2 second
-
-let test_select_default () =
-  let a : int Y.Channel.t = Y.Channel.make ~capacity:4 () in
-  let v =
-    Stm.atomically (fun txn ->
-        Y.Select.select_biased txn
-          [ Y.Select.recv a (fun v -> Some v); Y.Select.default (fun () -> None) ])
-  in
-  check copt_i "default taken on empty channel" None v
-
-(* A select whose cases all block parks once on the union of the read
-   sets: a commit on EITHER channel wakes it. *)
-let test_select_wakes_on_either () =
-  let a = Y.Channel.make ~capacity:4 () in
-  let b = Y.Channel.make ~capacity:4 () in
-  let pick side =
-    let d =
-      Domain.spawn (fun () ->
-          Stm.atomically (fun txn ->
-              Y.Select.select txn
-                [ Y.Select.recv a (fun v -> v); Y.Select.recv b (fun v -> v) ]))
-    in
-    Unix.sleepf 0.02;
-    Stm.atomically (fun txn ->
-        Y.Channel.send txn (if side = 0 then a else b) (side + 10));
-    Domain.join d
-  in
-  check ci "woken by a-side commit" 10 (pick 0);
-  check ci "woken by b-side commit" 11 (pick 1)
-
-(* ------------------------------------------------------------------ *)
-(* Promises                                                             *)
-
-let test_promise_single_fulfilment () =
-  with_seed_note (fun () ->
-      let p = Y.Promise.make () in
-      let winners = Atomic.make 0 in
-      (* Racing fulfillers: exactly one CAS-like transactional win. *)
-      spawn_all sync_domains (fun i ->
-          if Stm.atomically (fun txn -> Y.Promise.try_fulfil txn p i) then
-            Atomic.incr winners);
-      check ci "exactly one fulfiller wins" 1 (Atomic.get winners);
-      let v = Stm.atomically (fun txn -> Y.Promise.await txn p) in
-      (* Every awaiter agrees with the committed value. *)
-      spawn_all sync_domains (fun _ ->
-          check ci "await sees the winner" v
-            (Stm.atomically (fun txn -> Y.Promise.await txn p)));
-      match Stm.atomically (fun txn -> Y.Promise.fulfil txn p 999) with
-      | exception Y.Promise.Already_fulfilled -> ()
-      | () -> Alcotest.fail "second fulfil succeeded")
-
-let test_promise_blocks_until_fulfilled () =
-  let p = Y.Promise.make () in
-  let waiters =
-    List.init sync_domains (fun _ ->
-        Domain.spawn (fun () ->
-            Stm.atomically (fun txn -> Y.Promise.await txn p)))
-  in
-  Unix.sleepf 0.02;
-  Stm.atomically (fun txn -> Y.Promise.fulfil txn p 42);
-  (* One fulfilling commit broadcasts to every parked awaiter. *)
-  List.iter (fun d -> check ci "broadcast wake" 42 (Domain.join d)) waiters;
-  check ci "no waiters left behind" 0 (Stm.parked_waiters ())
-
-(* ------------------------------------------------------------------ *)
-(* Semaphores                                                           *)
-
-let test_semaphore_bounds () =
-  with_seed_note (fun () ->
-      let permits = 3 in
-      let s = Y.Semaphore.make permits in
-      let in_section = Atomic.make 0 in
-      let max_seen = Atomic.make 0 in
-      let rec note_max n =
-        let cur = Atomic.get max_seen in
-        if n > cur && not (Atomic.compare_and_set max_seen cur n) then
-          note_max n
-      in
-      spawn_all sync_domains (fun _ ->
-          for _ = 1 to 50 do
-            Stm.atomically (fun txn -> Y.Semaphore.acquire txn s);
-            let n = 1 + Atomic.fetch_and_add in_section 1 in
-            note_max n;
-            Domain.cpu_relax ();
-            ignore (Atomic.fetch_and_add in_section (-1));
-            Stm.atomically (fun txn -> Y.Semaphore.release txn s)
-          done);
-      check cb "occupancy never exceeds permits" true
-        (Atomic.get max_seen <= permits);
-      check cb "some concurrency happened" true (Atomic.get max_seen >= 1);
-      check ci "all permits returned" permits (Y.Semaphore.peek s);
-      check cb "never negative" true (Y.Semaphore.peek s >= 0))
-
-let test_semaphore_multi_permit () =
-  let s = Y.Semaphore.make ~cap:4 2 in
-  Stm.atomically (fun txn ->
-      check cb "bulk acquire beyond permits fails" false
-        (Y.Semaphore.try_acquire ~n:3 txn s));
-  let d =
-    Domain.spawn (fun () ->
-        Stm.atomically (fun txn -> Y.Semaphore.acquire ~n:3 txn s))
-  in
-  Unix.sleepf 0.02;
-  Stm.atomically (fun txn -> Y.Semaphore.release ~n:1 txn s);
-  Domain.join d;
-  check ci "3 of 3 permits taken" 0 (Y.Semaphore.peek s);
-  match Stm.atomically (fun txn -> Y.Semaphore.release ~n:5 txn s) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "release above cap succeeded"
-
-(* ------------------------------------------------------------------ *)
-(* Fair (FIFO) semaphore handoff                                        *)
-
-let test_semaphore_fair_basics () =
-  let s = Y.Semaphore.make 2 in
-  (* Empty queue + permits available: the direct path. *)
-  Y.Semaphore.acquire_fair s;
-  check ci "fast path took a permit" 1 (Y.Semaphore.peek s);
-  Y.Semaphore.acquire_fair s;
-  check ci "pool drained" 0 (Y.Semaphore.peek s);
-  Stm.atomically (fun txn -> Y.Semaphore.release ~n:2 txn s);
-  check ci "permits back" 2 (Y.Semaphore.peek s);
-  check ci "no waiters" 0
-    (Stm.atomically (fun txn -> Y.Semaphore.fair_waiters txn s));
-  (* Two-transaction protocol: refuses to be flattened into an
-     enclosing transaction. *)
-  match Stm.atomically (fun _txn -> Y.Semaphore.acquire_fair s) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "acquire_fair ran nested"
-
-(* The no-overtaking property: enrol waiters in a known FIFO order
-   (each spawn is held until the previous waiter's grant cell is
-   queued), then hand permits out one release at a time — only the
-   queue head may ever leave, even when it needs several permits and
-   smaller requests wait right behind it. *)
-let prop_fair_no_overtaking demands =
-  let k = List.length demands in
-  let total = List.fold_left ( + ) 0 demands in
-  let demands = Array.of_list demands in
-  let s = Y.Semaphore.make 0 in
-  let completed = Array.init k (fun _ -> Atomic.make false) in
-  let doms = Array.make k None in
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let ok = ref true in
-  let wait_for cond =
-    while !ok && not (cond ()) do
-      if Unix.gettimeofday () > deadline then ok := false
-      else Domain.cpu_relax ()
-    done
-  in
-  let queued () = Stm.atomically (fun txn -> Y.Semaphore.fair_waiters txn s) in
-  Array.iteri
-    (fun i n ->
-      if !ok then begin
-        doms.(i) <-
-          Some
-            (Domain.spawn (fun () ->
-                 Y.Semaphore.acquire_fair ~n s;
-                 Atomic.set completed.(i) true));
-        wait_for (fun () -> queued () = i + 1)
-      end)
-    demands;
-  Array.iteri
-    (fun j n ->
-      if !ok then begin
-        (* Drip the head's demand in one-permit releases: a multi-permit
-           head must accumulate, never be bypassed. *)
-        for _ = 1 to n do
-          Stm.atomically (fun txn -> Y.Semaphore.release txn s)
-        done;
-        wait_for (fun () -> Atomic.get completed.(j));
-        for m = j + 1 to k - 1 do
-          if Atomic.get completed.(m) then ok := false
-        done
-      end)
-    demands;
-  (* Failure paths may leave waiters parked: flood them out before
-     joining so the test fails instead of hanging. *)
-  if not !ok then
-    Stm.atomically (fun txn -> Y.Semaphore.release ~n:(total * 2) txn s);
-  Array.iter (function Some d -> Domain.join d | None -> ()) doms;
-  !ok
-  && Y.Semaphore.peek s = 0
-  && Stm.atomically (fun txn -> Y.Semaphore.fair_waiters txn s) = 0
-
-(* The starvation regression: one permit, barging plain-acquire loops
-   hammering it, one fair acquirer.  Plain [acquire] gives no ordering
-   guarantee — a barger that revalidates first can win every race
-   forever — but [release] grants queued fair acquirers {e inside} its
-   own transaction, so the moment the fair waiter is enqueued, the
-   next release is its permit and no barger can take it back. *)
-let test_semaphore_fair_no_starvation () =
-  let s = Y.Semaphore.make 1 in
-  let stop = Atomic.make false in
-  let fair_done = Atomic.make false in
-  let bargers =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              Stm.atomically (fun txn -> Y.Semaphore.acquire txn s);
-              Stm.atomically (fun txn -> Y.Semaphore.release txn s)
-            done))
-  in
-  let fair =
-    Domain.spawn (fun () ->
-        Y.Semaphore.acquire_fair s;
-        Atomic.set fair_done true;
-        Stm.atomically (fun txn -> Y.Semaphore.release txn s))
-  in
-  let deadline = Clock.now_mono () +. 20.0 in
-  while (not (Atomic.get fair_done)) && Clock.now_mono () < deadline do
+(* Wait until [n] waiters are really parked, not merely spawned. *)
+let await_parked n =
+  let deadline = Clock.now_mono () +. 5.0 in
+  while Stm.parked_waiters () < n && Clock.now_mono () < deadline do
     Domain.cpu_relax ()
-  done;
-  let starved = not (Atomic.get fair_done) in
-  Atomic.set stop true;
-  (* On failure the fair waiter may still be parked: feed it a permit
-     so the joins terminate and the test fails instead of hanging. *)
-  if starved then Stm.atomically (fun txn -> Y.Semaphore.release txn s);
-  Domain.join fair;
-  List.iter Domain.join bargers;
-  check cb "fair acquirer completed despite barging loops" true (not starved);
-  check ci "no waiters left enqueued" 0
-    (Stm.atomically (fun txn -> Y.Semaphore.fair_waiters txn s))
+  done
 
-(* ------------------------------------------------------------------ *)
-(* Parking mechanics                                                    *)
+(* Run [f] under a generous deadline, so a missed wakeup fails the test
+   instead of hanging it, while a slow schedule on an oversubscribed
+   host does not. *)
+let within ?config f =
+  match Stm.atomic ?config ~deadline:(Clock.now_mono () +. 60.0) f with
+  | Stm.Outcome.Committed v -> v
+  | o -> Alcotest.fail ("transaction ended " ^ Stm.Outcome.name o)
+
+let spawn_taker b =
+  Domain.spawn (fun () -> Stm.atomically (fun txn -> Bounded.take txn b))
 
 (* The tentpole property: a blocked retry PARKS — the stats window
-   around a blocked-then-woken recv shows at least one park and one
+   around a blocked-then-woken take shows at least one park and one
    wakeup, and exactly zero busy-poll iterations. *)
 let test_parked_retry_no_polls () =
   check cb "park mode is the default" true (Stm.retry_mode () = Stm.Park);
-  let ch = Y.Channel.make ~capacity:4 () in
+  let b = Bounded.make 4 in
   let before = Stats.read () in
-  let d =
-    Domain.spawn (fun () ->
-        Stm.atomically (fun txn -> Y.Channel.recv txn ch))
-  in
-  (* Wait until the consumer is really parked, not merely spawned. *)
-  let deadline = Clock.now_mono () +. 5.0 in
-  while Stm.parked_waiters () = 0 && Clock.now_mono () < deadline do
-    Domain.cpu_relax ()
-  done;
+  let d = spawn_taker b in
+  await_parked 1;
   check ci "consumer is parked" 1 (Stm.parked_waiters ());
-  Stm.atomically (fun txn -> Y.Channel.send txn ch 7);
+  Stm.atomically (fun txn -> Bounded.put txn b 7);
   check ci "woken with the element" 7 (Domain.join d);
   let s = Stats.diff before (Stats.read ()) in
   check cb "parked at least once" true (s.Stats.parks >= 1);
   check cb "woken at least once" true (s.Stats.wakeups >= 1);
-  check ci "zero busy-poll iterations" 0 (s.Stats.retry_polls);
+  check ci "zero busy-poll iterations" 0 s.Stats.retry_polls;
   check cb "wait-list high-water recorded" true (s.Stats.wait_list_max >= 1);
   check ci "no waiters left behind" 0 (Stm.parked_waiters ())
 
-(* A parked-then-woken recv with metrics on must land at least one
+(* A parked-then-woken take with metrics on must land at least one
    sample in the wakeup-latency histogram: [Waitq.wake] stamps the
    publication time, the resuming domain records the delta.  Timer
-   expiries must not contribute (checked implicitly: the send is the
+   expiries must not contribute (checked implicitly: the put is the
    only wake here). *)
 let test_wakeup_latency_histogram () =
   let module Obs = Proust_obs in
   Obs.Metrics.enable ();
   Obs.Metrics.reset ();
   Fun.protect ~finally:Obs.Metrics.disable @@ fun () ->
-  let ch = Y.Channel.make ~capacity:4 () in
-  let d =
-    Domain.spawn (fun () ->
-        Stm.atomically (fun txn -> Y.Channel.recv txn ch))
-  in
-  let deadline = Clock.now_mono () +. 5.0 in
-  while Stm.parked_waiters () = 0 && Clock.now_mono () < deadline do
-    Domain.cpu_relax ()
-  done;
-  Stm.atomically (fun txn -> Y.Channel.send txn ch 7);
+  let b = Bounded.make 4 in
+  let d = spawn_taker b in
+  await_parked 1;
+  Stm.atomically (fun txn -> Bounded.put txn b 7);
   check ci "woken with the element" 7 (Domain.join d);
   let samples =
     List.fold_left
@@ -482,29 +85,22 @@ let test_poll_mode_burns_iterations () =
   Fun.protect
     ~finally:(fun () -> Stm.set_retry_mode Stm.Park)
     (fun () ->
-      let ch = Y.Channel.make ~capacity:4 () in
+      let b = Bounded.make 4 in
       let before = Stats.read () in
-      let d =
-        Domain.spawn (fun () ->
-            Stm.atomically (fun txn -> Y.Channel.recv txn ch))
-      in
+      let d = spawn_taker b in
       Unix.sleepf 0.05;
-      Stm.atomically (fun txn -> Y.Channel.send txn ch 9);
+      Stm.atomically (fun txn -> Bounded.put txn b 9);
       check ci "woken with the element" 9 (Domain.join d);
       let s = Stats.diff before (Stats.read ()) in
       check cb "poll iterations recorded" true (s.Stats.retry_polls > 0);
       check ci "never parked" 0 s.Stats.parks)
 
 let test_deadline_while_parked () =
-  let ch : int Y.Channel.t = Y.Channel.make ~capacity:4 () in
+  let b : int Bounded.t = Bounded.make 4 in
   let t0 = Clock.now_mono () in
-  (* Nobody ever sends: the park must be broken by the deadline timer,
+  (* Nobody ever puts: the park must be broken by the deadline timer,
      not hang. *)
-  (match
-     Stm.atomic
-       ~deadline:(t0 +. 0.1)
-       (fun txn -> Y.Channel.recv txn ch)
-   with
+  (match Stm.atomic ~deadline:(t0 +. 0.1) (fun txn -> Bounded.take txn b) with
   | Stm.Outcome.Timed_out -> ()
   | _ -> Alcotest.fail "expected Timed_out");
   let dt = Clock.now_mono () -. t0 in
@@ -512,17 +108,269 @@ let test_deadline_while_parked () =
   check ci "no waiters left behind" 0 (Stm.parked_waiters ());
   Stm.descriptor_pool_check ()
 
-let test_retry_no_reads_typed () =
-  (* The old behaviour was an untyped [failwith]; pin the typed error
-     and that guard on a constant read-set still works. *)
-  (match Stm.atomically (fun txn -> Stm.retry txn) with
-  | exception Stm.Retry_no_reads -> ()
-  | _ -> Alcotest.fail "expected Retry_no_reads");
-  match
-    Stm.atomic (fun txn -> Stm.or_else_list txn [ (fun t -> Stm.retry t) ])
-  with
-  | exception Stm.Retry_no_reads -> ()
-  | _ -> Alcotest.fail "expected Retry_no_reads from empty-read or_else"
+(* A transaction whose [or_else] branches both retry parks once, on the
+   union of the branches' read sets: a commit to EITHER branch's tvar
+   wakes it.  The deadline turns a missed wakeup into a failure
+   instead of a hang. *)
+let test_or_else_wakes_on_either ?config () =
+  let pick side =
+    let a = Tvar.make None and b = Tvar.make None in
+    let take tv txn =
+      match Stm.read txn tv with None -> Stm.retry txn | Some v -> v
+    in
+    let before = Stats.read () in
+    let d =
+      Domain.spawn (fun () ->
+          Stm.atomic ?config
+            ~deadline:(Clock.now_mono () +. 10.0)
+            (fun txn -> Stm.or_else txn (take a) (take b)))
+    in
+    await_parked 1;
+    let on_a = Tvar.waiter_count a and on_b = Tvar.waiter_count b in
+    Stm.atomically ?config (fun txn ->
+        Stm.write txn (if side = 0 then a else b) (Some (side + 10)));
+    let o = Domain.join d in
+    check ci "registered on the first branch's tvar" 1 on_a;
+    check ci "registered on the second branch's tvar" 1 on_b;
+    check ci "parked once" 1 (Stats.diff before (Stats.read ())).Stats.parks;
+    match o with
+    | Stm.Outcome.Committed v -> v
+    | o -> Alcotest.fail ("expected Committed, got " ^ Stm.Outcome.name o)
+  in
+  check ci "woken by a commit to the first branch's tvar" 10 (pick 0);
+  check ci "woken by a commit to the second branch's tvar" 11 (pick 1);
+  check ci "no waiters left behind" 0 (Stm.parked_waiters ())
+
+(* One commit wakes every waiter parked on a tvar: the committer
+   detaches the tvar's whole wait list and wakes each entry.  The
+   deadline turns a waiter left parked into a failure instead of a
+   hang. *)
+let test_commit_wakes_all_waiters ?config () =
+  let flag = Tvar.make None in
+  let waiters =
+    List.init sync_domains (fun _ ->
+        Domain.spawn (fun () ->
+            Stm.atomic ?config
+              ~deadline:(Clock.now_mono () +. 10.0)
+              (fun txn ->
+                match Stm.read txn flag with
+                | None -> Stm.retry txn
+                | Some v -> v)))
+  in
+  await_parked sync_domains;
+  let parked = Stm.parked_waiters () in
+  Stm.atomically ?config (fun txn -> Stm.write txn flag (Some 42));
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Stm.Outcome.Committed v -> check ci "woken with the value" 42 v
+      | o -> Alcotest.fail ("waiter left parked: " ^ Stm.Outcome.name o))
+    waiters;
+  check ci "every waiter was parked" sync_domains parked;
+  check ci "no waiters left behind" 0 (Stm.parked_waiters ())
+
+(* A bounded buffer hands elements over in FIFO order through both
+   park directions, under the given mode on both sides: the producer
+   parks on a full buffer, the consumer on an empty one. *)
+let test_handoff ?config () =
+  let b = Bounded.make 2 and n = 50 in
+  let producer =
+    Domain.spawn (fun () ->
+        for i = 1 to n do
+          within ?config (fun txn -> Bounded.put txn b i)
+        done)
+  in
+  let got =
+    List.init n (fun _ -> within ?config (fun txn -> Bounded.take txn b))
+  in
+  Domain.join producer;
+  check clist_i "fifo order" (List.init n succ) got;
+  check ci "no waiters left behind" 0 (Stm.parked_waiters ())
+
+(* ------------------------------------------------------------------ *)
+(* Retry idioms on plain tvars, single domain                          *)
+
+let test_bounded_capacity () =
+  let b = Bounded.make 2 in
+  let try_put v =
+    Stm.atomically (fun txn ->
+        Stm.or_else txn
+          (fun txn ->
+            Bounded.put txn b v;
+            true)
+          (fun _ -> false))
+  in
+  check cb "put 1" true (try_put 1);
+  check cb "put 2" true (try_put 2);
+  check cb "full" false (try_put 3);
+  check ci "size" 2 (Stm.atomically (fun txn -> Bounded.size txn b));
+  check ci "take" 1 (Stm.atomically (fun txn -> Bounded.take txn b));
+  check cb "slot freed" true (try_put 3)
+
+(* An [or_else] whose last branch never retries never parks. *)
+let test_or_else_default () =
+  let b : int Bounded.t = Bounded.make 2 in
+  let before = Stats.read () in
+  let v =
+    Stm.atomically (fun txn ->
+        Stm.or_else txn (fun txn -> Some (Bounded.take txn b)) (fun _ -> None))
+  in
+  check copt_i "default taken on an empty buffer" None v;
+  check ci "never parked" 0 (Stats.diff before (Stats.read ())).Stats.parks
+
+let test_or_else_list_priority () =
+  let a = Bounded.make 4 and b = Bounded.make 4 in
+  Stm.atomically (fun txn ->
+      Bounded.put txn a 1;
+      Bounded.put txn a 2;
+      Bounded.put txn b 3);
+  let pick () =
+    Stm.atomically (fun txn ->
+        Stm.or_else_list txn
+          [
+            (fun txn -> Some (Bounded.take txn a));
+            (fun txn -> Some (Bounded.take txn b));
+            (fun _ -> None);
+          ])
+  in
+  let got = List.init 4 (fun _ -> pick ()) in
+  check
+    Alcotest.(list (option int))
+    "first buffer drained before the second"
+    [ Some 1; Some 2; Some 3; None ]
+    got
+
+(* ------------------------------------------------------------------ *)
+(* Multi-domain coordination on plain tvars                            *)
+
+(* A take that reads a [closed] flag next to an empty buffer parks on
+   both; closing wakes every such taker, which then gives up. *)
+let test_close_wakes_takers () =
+  let b : int Bounded.t = Bounded.make 2 and closed = Tvar.make false in
+  let takers =
+    List.init sync_domains (fun _ ->
+        Domain.spawn (fun () ->
+            within (fun txn ->
+                if Stm.read txn closed then None
+                else Some (Bounded.take txn b))))
+  in
+  await_parked sync_domains;
+  Stm.atomically (fun txn -> Stm.write txn closed true);
+  List.iter
+    (fun d -> check copt_i "released by the close" None (Domain.join d))
+    takers;
+  check ci "no waiters left behind" 0 (Stm.parked_waiters ())
+
+(* Two stages of capacity-2 buffers: a source, [sync_domains] workers
+   doubling each element, and the main domain as sink.  A [None]
+   per worker shuts the stage down. *)
+let test_pipeline_conserves () =
+  with_seed_note (fun () ->
+      let jobs = Bounded.make 2 and results = Bounded.make 2 in
+      let n = 200 in
+      let workers =
+        List.init sync_domains (fun _ ->
+            Domain.spawn (fun () ->
+                let rec loop () =
+                  match within (fun txn -> Bounded.take txn jobs) with
+                  | None -> ()
+                  | Some v ->
+                      within (fun txn -> Bounded.put txn results (2 * v));
+                      loop ()
+                in
+                loop ()))
+      in
+      let source =
+        Domain.spawn (fun () ->
+            for i = 1 to n do
+              within (fun txn -> Bounded.put txn jobs (Some i))
+            done;
+            for _ = 1 to sync_domains do
+              within (fun txn -> Bounded.put txn jobs None)
+            done)
+      in
+      let sum = ref 0 in
+      for _ = 1 to n do
+        sum := !sum + within (fun txn -> Bounded.take txn results)
+      done;
+      Domain.join source;
+      List.iter Domain.join workers;
+      check ci "every element arrives once, doubled" (n * (n + 1)) !sum;
+      check ci "no waiters left behind" 0 (Stm.parked_waiters ()))
+
+let test_write_once_race () =
+  with_seed_note (fun () ->
+      let cell = Tvar.make None and winners = Atomic.make 0 in
+      spawn_all sync_domains (fun i ->
+          let won =
+            Stm.atomically (fun txn ->
+                Stm.read txn cell = None
+                && (Stm.write txn cell (Some i);
+                    true))
+          in
+          if won then Atomic.incr winners);
+      check ci "exactly one writer wins" 1 (Atomic.get winners);
+      check cb "the cell holds the winner" true
+        (Stm.atomically (fun txn -> Stm.read txn cell) <> None))
+
+(* A counting semaphore on one tvar: [acquire n] retries until [n]
+   permits are free. *)
+let acquire permits n txn =
+  let p = Stm.read txn permits in
+  Stm.guard txn (p >= n);
+  Stm.write txn permits (p - n)
+
+let release permits n txn = Stm.write txn permits (Stm.read txn permits + n)
+
+let test_semaphore_occupancy () =
+  with_seed_note (fun () ->
+      let cap = 2 in
+      let permits = Tvar.make cap in
+      let inside = Atomic.make 0 and over = Atomic.make false in
+      spawn_all sync_domains (fun _ ->
+          for _ = 1 to 100 do
+            within (acquire permits 1);
+            if Atomic.fetch_and_add inside 1 >= cap then Atomic.set over true;
+            Domain.cpu_relax ();
+            Atomic.decr inside;
+            Stm.atomically (release permits 1)
+          done);
+      check cb "occupancy never exceeds the permits" false (Atomic.get over);
+      check ci "all permits returned" cap
+        (Stm.atomically (fun txn -> Stm.read txn permits)))
+
+(* A parked multi-permit acquire stays parked through a release that
+   leaves it short and wakes on the one that completes its demand. *)
+let test_multi_permit_acquire () =
+  let permits = Tvar.make 1 in
+  let d = Domain.spawn (fun () -> within (acquire permits 3)) in
+  await_parked 1;
+  Stm.atomically (release permits 1);
+  Unix.sleepf 0.02;
+  check ci "still parked with 2 of 3 permits" 1 (Stm.parked_waiters ());
+  Stm.atomically (release permits 1);
+  Domain.join d;
+  check ci "3 of 3 permits taken" 0
+    (Stm.atomically (fun txn -> Stm.read txn permits))
+
+(* Waiters parked on one [serving] tvar, each for its own ticket: every
+   commit wakes them all, and only the holder of the next ticket may
+   proceed, so completions follow ticket order. *)
+let test_ticket_order () =
+  let serving = Tvar.make 0 and order = Tvar.make [] in
+  let waiters =
+    List.init sync_domains (fun t ->
+        Domain.spawn (fun () ->
+            within (fun txn ->
+                Stm.guard txn (Stm.read txn serving = t);
+                Stm.write txn order (t :: Stm.read txn order);
+                Stm.write txn serving (t + 1))))
+  in
+  List.iter Domain.join waiters;
+  check clist_i "served in ticket order"
+    (List.init sync_domains (fun t -> sync_domains - 1 - t))
+    (Stm.atomically (fun txn -> Stm.read txn order));
+  check ci "no waiters left behind" 0 (Stm.parked_waiters ())
 
 (* ------------------------------------------------------------------ *)
 (* The lost-wakeup regression                                           *)
@@ -533,18 +381,15 @@ let test_retry_no_reads_typed () =
    healthy control (no injection) wakes promptly and commits. *)
 let test_lost_wakeup_regression () =
   let run_consumer () =
-    let ch = Y.Channel.make ~capacity:4 () in
+    let b = Bounded.make 4 in
     let d =
       Domain.spawn (fun () ->
           Stm.atomic
             ~deadline:(Clock.now_mono () +. 0.4)
-            (fun txn -> Y.Channel.recv txn ch))
+            (fun txn -> Bounded.take txn b))
     in
-    let deadline = Clock.now_mono () +. 5.0 in
-    while Stm.parked_waiters () = 0 && Clock.now_mono () < deadline do
-      Domain.cpu_relax ()
-    done;
-    Stm.atomically (fun txn -> Y.Channel.send txn ch 21);
+    await_parked 1;
+    Stm.atomically (fun txn -> Bounded.put txn b 21);
     Domain.join d
   in
   (* Healthy control first: the wakeup path works. *)
@@ -566,81 +411,92 @@ let test_lost_wakeup_regression () =
   Stm.descriptor_pool_check ()
 
 (* ------------------------------------------------------------------ *)
-(* Seeded multi-domain stress over the whole family                     *)
+(* Seeded multi-domain stress                                           *)
 
-let test_sync_stress () =
+(* Producers fill two small buffers, so they park when both are full;
+   consumers take from either through [or_else], so they park on both
+   when both are empty.  Every element arrives exactly once and no
+   waiter is left parked.  Each transaction carries a generous
+   deadline, so a missed wakeup fails the test instead of hanging it. *)
+let test_parking_stress () =
   with_seed_note (fun () ->
-      let ch = Y.Channel.make ~capacity:8 () in
-      let sem = Y.Semaphore.make 2 in
-      let done_p = Y.Promise.make () in
+      let a = Bounded.make 4 and b = Bounded.make 4 in
+      let half = sync_domains / 2 in
       let n = 300 in
-      let consumed = Atomic.make 0 in
+      let total = half * n in
+      let claimed = Atomic.make 0 and sum = Atomic.make 0 in
       let producers =
-        List.init (sync_domains / 2) (fun p ->
+        List.init half (fun p ->
             Domain.spawn (fun () ->
                 let rng = Random.State.make [| sub_seed (p + 1) |] in
                 for i = 1 to n do
-                  Stm.atomically (fun txn ->
-                      Y.Semaphore.acquire txn sem;
-                      Y.Channel.send txn ch i;
-                      Y.Semaphore.release txn sem);
+                  let buf = if Random.State.bool rng then a else b in
+                  within (fun txn -> Bounded.put txn buf ((p * n) + i));
                   if Random.State.int rng 16 = 0 then Domain.cpu_relax ()
                 done))
       in
-      let total = (sync_domains / 2) * n in
       let consumers =
-        List.init (sync_domains / 2) (fun _ ->
+        List.init half (fun _ ->
             Domain.spawn (fun () ->
-                let continue = ref true in
-                while !continue do
-                  if Atomic.fetch_and_add consumed 1 < total then
-                    ignore
-                      (Stm.atomically (fun txn ->
-                           Y.Select.select txn
-                             [
-                               Y.Select.recv ch (fun v -> v);
-                               Y.Select.await done_p (fun v -> v);
-                             ]))
-                  else continue := false
+                while Atomic.fetch_and_add claimed 1 < total do
+                  let v =
+                    within (fun txn ->
+                        Stm.or_else txn
+                          (fun txn -> Bounded.take txn a)
+                          (fun txn -> Bounded.take txn b))
+                  in
+                  ignore (Atomic.fetch_and_add sum v)
                 done))
       in
       List.iter Domain.join producers;
       List.iter Domain.join consumers;
-      Stm.atomically (fun txn -> Y.Promise.fulfil txn done_p 0);
+      check ci "every element received exactly once"
+        (total * (total + 1) / 2)
+        (Atomic.get sum);
+      check ci "buffers drained" 0
+        (Stm.atomically (fun txn -> Bounded.size txn a + Bounded.size txn b));
       check ci "no waiters left behind" 0 (Stm.parked_waiters ());
-      check ci "all permits returned" 2 (Y.Semaphore.peek sem);
       Stm.descriptor_pool_check ())
 
 let suite =
   [
-    test "channel fifo order" test_channel_fifo;
-    test "channel capacity accounting" test_channel_capacity;
-    test "channel close semantics" test_channel_close;
-    slow "pipeline conserves elements" test_pipeline_conservation;
-    slow "fan-out/fan-in over stage channels" test_fan_out_fan_in;
-    test "select rotation reaches all ready cases" test_select_rotates;
-    test "select_biased drains in priority order" test_select_biased_priority;
-    test "select default makes selects non-blocking" test_select_default;
-    test "blocked select woken by either channel" test_select_wakes_on_either;
-    test "promise: exactly one fulfiller wins" test_promise_single_fulfilment;
-    test "promise: fulfil broadcasts to parked awaiters"
-      test_promise_blocks_until_fulfilled;
-    slow "semaphore occupancy stays within permits" test_semaphore_bounds;
-    test "semaphore multi-permit acquire and cap" test_semaphore_multi_permit;
-    test "fair semaphore: fast path and nesting guard"
-      test_semaphore_fair_basics;
-    qcheck ~count:20 "fair semaphore: FIFO handoff never overtakes"
-      QCheck2.Gen.(list_size (2 -- 5) (1 -- 3))
-      prop_fair_no_overtaking;
-    slow "fair semaphore: no starvation under barging loops"
-      test_semaphore_fair_no_starvation;
     test "parked retry burns zero poll iterations" test_parked_retry_no_polls;
     test "wakeup latency histogram gets samples" test_wakeup_latency_histogram;
     test "poll mode still works and is observable"
       test_poll_mode_burns_iterations;
     test "deadline honored while parked" test_deadline_while_parked;
-    test "retry with no reads fails typed" test_retry_no_reads_typed;
+    test "a blocked or_else parks once and wakes on a commit to either \
+          branch's tvar"
+      (test_or_else_wakes_on_either ?config:None);
+    test "one commit wakes every waiter parked on a tvar"
+      (test_commit_wakes_all_waiters ?config:None);
+    test "bounded buffer capacity accounting" test_bounded_capacity;
+    test "or_else default makes a take non-blocking" test_or_else_default;
+    test "or_else_list drains in priority order" test_or_else_list_priority;
+    test "closing flag wakes takers parked on an empty buffer"
+      test_close_wakes_takers;
+    slow "pipeline over bounded buffers conserves elements"
+      test_pipeline_conserves;
+    test "write-once tvar: exactly one racing writer wins"
+      test_write_once_race;
+    slow "tvar semaphore occupancy stays within permits"
+      test_semaphore_occupancy;
+    test "multi-permit acquire parks until its demand is met"
+      test_multi_permit_acquire;
+    test "waiters on one tvar proceed in ticket order" test_ticket_order;
     slow "lost wakeup caught by deadline-bounded park"
       test_lost_wakeup_regression;
-    slow "seeded stress across the sync family" test_sync_stress;
+    slow "seeded multi-domain parking stress" test_parking_stress;
   ]
+  (* Every mode's commit path must wake the waiters it releases. *)
+  @ List.concat_map
+      (fun (m, config) ->
+        let under name f = test (Printf.sprintf "%s under %s" name m) f in
+        [
+          under "bounded buffer handoff" (test_handoff ~config);
+          under "blocked or_else woken by either branch"
+            (test_or_else_wakes_on_either ~config);
+          under "one commit wakes every parked waiter"
+            (test_commit_wakes_all_waiters ~config);
+        ])
+      all_modes

@@ -77,3 +77,27 @@ let qcheck ?(count = 200) name gen prop =
         raise e
   in
   QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ~name gen prop)
+
+(** A bounded FIFO over one plain tvar, front first.  [put] retries
+    while the buffer is full and [take] while it is empty, so both
+    block on the STM's parking retry path: the producer/consumer
+    workload of the [sync] and [chaos] parking tests. *)
+module Bounded = struct
+  type 'a t = { items : 'a list Tvar.t; cap : int }
+
+  let make cap = { items = Tvar.make []; cap }
+
+  let put txn b v =
+    let xs = Stm.read txn b.items in
+    if List.length xs >= b.cap then Stm.retry txn;
+    Stm.write txn b.items (xs @ [ v ])
+
+  let take txn b =
+    match Stm.read txn b.items with
+    | [] -> Stm.retry txn
+    | x :: rest ->
+        Stm.write txn b.items rest;
+        x
+
+  let size txn b = List.length (Stm.read txn b.items)
+end
