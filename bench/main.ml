@@ -362,14 +362,9 @@ let ablation_combine () =
       ( "eager/undo-combined",
         Some (W.Registry.eager_mode ()),
         fun () -> S.P_hashmap.ops (S.P_hashmap.make ~combine_undo:true ()) );
-      ( "lazy-snap/replay",
+      ( "lazy-snap",
         None,
-        fun () -> S.P_lazy_triemap.ops (S.P_lazy_triemap.make ~combine:false ())
-      );
-      ( "lazy-snap/root-cas",
-        None,
-        fun () -> S.P_lazy_triemap.ops (S.P_lazy_triemap.make ~combine:true ())
-      );
+        fun () -> S.P_lazy_triemap.ops (S.P_lazy_triemap.make ()) );
     ]
   in
   List.iter

@@ -235,23 +235,23 @@ module Snapshot = struct
 
   type 's t = {
     root : 's Atomic.t;
-    combine : bool;
     shared : 's shared option;
-    mutable base_snapshot : 's option;  (* the state the shadow grew from *)
-    mutable shadow : 's option;
+    (* Meaningful once [steps] is non-empty: the state the shadow grew
+       from, and that state plus every logged step. *)
+    mutable base_snapshot : 's;
+    mutable shadow : 's;
     mutable steps : 's step list;  (* newest first *)
     mutable all_merge : bool;  (* every logged step was marked [merge] *)
     mutable registered : bool;
   }
 
-  let create ~root ?(combine = false) ?shared _txn =
+  let create ~root ?shared _txn =
+    let s = Atomic.get root in
     {
       root;
-      combine;
-      (* Session merging is a form of combining. *)
-      shared = (if combine then shared else None);
-      base_snapshot = None;
-      shadow = None;
+      shared;
+      base_snapshot = s;
+      shadow = s;
       steps = [];
       all_merge = true;
       registered = false;
@@ -264,18 +264,18 @@ module Snapshot = struct
      it from the stale shadow would lose that commit.  The rebased
      shadow is the current root plus this transaction's own steps. *)
   let refresh t =
-    match t.base_snapshot with
-    | None -> ()
-    | Some b ->
-        let r = Atomic.get t.root in
-        if r != b then begin
-          t.base_snapshot <- Some r;
-          t.shadow <- Some (fold_steps t.steps r)
-        end
+    let r = Atomic.get t.root in
+    if r != t.base_snapshot then begin
+      t.base_snapshot <- r;
+      t.shadow <- fold_steps t.steps r
+    end
 
   let read_only t ~shadow ~direct =
-    refresh t;
-    match t.shadow with Some s -> shadow s | None -> direct ()
+    if t.steps == [] then direct ()
+    else begin
+      refresh t;
+      shadow t.shadow
+    end
 
   (* An entry can join the session merge only when every one of its
      steps was marked [merge]: one state-dependent step (a dequeue, say)
@@ -293,14 +293,15 @@ module Snapshot = struct
         sh.sn_steps <- [];
         Proust_concurrent.Root.update root (fun s -> (fold_steps steps s, ()))
 
-  (* Log combining for snapshot replays (§9 future work): if the shared
-     structure has not changed since the shadow was taken, install the
-     shadow wholesale with one CAS; a failed CAS means commuting
-     transactions committed in between, so fall back to replaying each
-     logged step on top of their effects. *)
+  (* Commit.  Inside a combiner drain, a fully-mergeable entry parks its
+     steps on the session's batch flush.  Otherwise, while the root
+     still holds the state the shadow grew from, one CAS installs the
+     shadow (log combining, §9 future work); a failed CAS means
+     commuting transactions committed in between, so each logged step
+     is re-applied on top of their effects.  The trace counts the steps
+     re-applied to the base: 0 after an install. *)
   let replay t () =
     Fault.delay_only Fault.Replay_apply;
-    if tracing () then obs_replay (List.length t.steps);
     let parked =
       match t.shared with
       | Some sh -> (
@@ -317,40 +318,25 @@ module Snapshot = struct
               end
               else begin
                 (* A non-mergeable entry linearizes after the parked
-                   merges of the same session: land them first, then
-                   replay directly (the wholesale CAS below then fails
-                   against the freshly-flushed base and the entry falls
-                   back to its steps, which is correct). *)
+                   merges of the same session: land them first; if
+                   they moved the root, the install below fails and
+                   the entry replays its steps on top of them. *)
                 if sh.sn_gen = gen then flush_shared t.root sh ();
                 false
               end
           | None -> false)
       | None -> false
     in
-    if not parked then begin
-      let installed =
-        t.combine
-        &&
-        match (t.base_snapshot, t.shadow) with
-        | Some expected, Some desired ->
-            Atomic.compare_and_set t.root expected desired
-        | _ -> false
-      in
-      if not installed then replay_steps t.root t.steps
-    end
+    let installed =
+      (not parked) && Atomic.compare_and_set t.root t.base_snapshot t.shadow
+    in
+    if not (parked || installed) then replay_steps t.root t.steps;
+    if tracing () then obs_replay (if installed then 0 else List.length t.steps)
 
   let update txn t ?(merge = false) f =
     refresh t;
-    let s =
-      match t.shadow with
-      | Some s -> s
-      | None ->
-          let s = Atomic.get t.root in
-          t.base_snapshot <- Some s;
-          s
-    in
-    let s', z = f s in
-    t.shadow <- Some s';
+    let s', z = f t.shadow in
+    t.shadow <- s';
     t.steps <- Step f :: t.steps;
     t.all_merge <- t.all_merge && merge;
     if not t.registered then begin

@@ -16,9 +16,9 @@
       of each abstract-state element instead of every logged operation.
     - {!Snapshot}: snapshot shadow copies, for copy-on-write
       structures whose whole state sits behind one atomic root (the
-      Ctrie, the COW queues and ordered map).  Replay, wholesale
-      install and session merge all derive from the same logged state
-      steps.
+      Ctrie, the COW queues and ordered map).  Commit installs the
+      shadow with one root CAS; replay and session merge derive from
+      the same logged state steps.
 
     {2 Cross-transaction combining}
 
@@ -95,10 +95,13 @@ module Snapshot : sig
       lazily, at the first mutating operation ("readOnly provides an
       optimization to avoid initializing the log until it is known that
       a replay is actually necessary", Fig. 2b).  The log is one list
-      of pure state steps; commit applies them to the root with
-      {!Proust_concurrent.Root.update}, one step at a time.  When the
-      root has moved since the shadow was taken, the next [read_only]
-      or [update] rebases the shadow: it re-applies the steps to the
+      of pure state steps.  At commit, if [root] still holds the state
+      the shadow grew from, one CAS installs the shadow (log
+      combining, §9 future work); if a commuting transaction moved the
+      root in between, the steps are re-applied to it with
+      {!Proust_concurrent.Root.update}, one at a time.  When the root
+      has moved since the shadow was taken, the next [read_only] or
+      [update] rebases the shadow: it re-applies the steps to the
       current root, so a shadow read never misses a commit whose
       abstract-lock stripe the transaction has already read. *)
   type 's t
@@ -111,16 +114,11 @@ module Snapshot : sig
 
   val make_shared : unit -> 's shared
 
-  (** [combine] (default [false]) enables log combining for snapshot
-      replays (§9 future work): at commit, if [root] still holds the
-      state the shadow was taken from, the shadow is installed
-      wholesale with one CAS; otherwise each logged step replays on top
-      of the commuting updates that landed in between.  [shared]
-      (honoured only with [combine]) extends the combining across the
+  (** One log per transaction; create inside an [Stm.Local] key
+      initializer.  [shared] extends the combining across the
       transactions of one combiner drain; see the module preamble for
       the LAP soundness requirement. *)
-  val create :
-    root:'s Atomic.t -> ?combine:bool -> ?shared:'s shared -> Stm.txn -> 's t
+  val create : root:'s Atomic.t -> ?shared:'s shared -> Stm.txn -> 's t
 
   (** [read_only t ~shadow ~direct] computes a result from the shadow
       copy when one exists, else straight from the base structure. *)

@@ -268,9 +268,13 @@ module Combine : sig
   val defer_flush : (unit -> unit) -> unit
 end
 
-(** [or_else txn f g] runs [f]; if [f] calls [retry], rolls back [f]'s
-    buffered effects and runs [g] instead.  If [g] also retries, the
-    whole transaction waits on the union of both read sets. *)
+(** [or_else txn f g] runs [f]; if [f] calls [retry], runs [g] instead.
+    If [g] also retries, the whole transaction waits on the union of
+    both read sets.  Rolling [f] back drops its tvar writes, locks,
+    hooks and new transaction locals, but not its Proustian structure
+    operations: an eager wrapper's base mutation stays (its inverse is
+    dropped unrun), and a lazy replay log that predates [f] keeps
+    [f]'s steps. *)
 val or_else : txn -> (txn -> 'a) -> (txn -> 'a) -> 'a
 
 (** First alternative that does not retry; an empty list retries

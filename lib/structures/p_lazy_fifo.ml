@@ -1,6 +1,6 @@
 (** Lazy Proustian FIFO queue over the copy-on-write {!Cow_queue}:
-    snapshot shadow copies, commit-time replay, optional root-CAS log
-    combining.  Same conflict abstraction as {!P_fifo}. *)
+    snapshot shadow copies committed by root CAS, optional session
+    merging ([combine]).  Same conflict abstraction as {!P_fifo}. *)
 
 module Cq = Proust_concurrent.Cow_queue
 open Trait.Queue
@@ -32,7 +32,7 @@ let make ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
     mergeable = Option.is_some shared;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ~root:(Cq.root base) ~combine ?shared);
+        (Replay_log.Snapshot.create ~root:(Cq.root base) ?shared);
   }
 
 let log t txn = Stm.Local.get txn t.log_key

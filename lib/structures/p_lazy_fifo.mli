@@ -1,8 +1,9 @@
 (** Lazy Proustian FIFO queue over the copy-on-write {!Cow_queue}:
-    snapshot shadow copies, commit-time replay, optional root-CAS log
-    combining.  Shares {!Trait.Queue}'s conflict abstraction; the lazy
-    strategy keeps uncommitted effects off the shared queue, so the
-    eager dequeue guard is unnecessary. *)
+    snapshot shadow copies committed by root CAS; [combine] merges the
+    enqueue-only transactions of one combiner drain.  Shares
+    {!Trait.Queue}'s conflict abstraction; the lazy strategy keeps
+    uncommitted effects off the shared queue, so the eager dequeue
+    guard is unnecessary. *)
 
 type 'v t
 

@@ -2,9 +2,10 @@
     {!Cow_pqueue} — the paper's [LazyPriorityQueue] (§4).
 
     The first mutating operation snapshots the persistent heap in O(1);
-    later operations run on the shadow; commit replays onto the shared
-    queue.  A [remove_min] that finds the shadow empty registers no
-    replay — emptiness is an observation, protected by the [Write Min]
+    later operations run on the shadow; commit installs it with one
+    root CAS (replaying if a commuting commit moved the root).  A
+    [remove_min] that finds the shadow empty registers no replay —
+    emptiness is an observation, protected by the [Write Min]
     conflict-abstraction access. *)
 
 module Cq = Proust_concurrent.Cow_pqueue
@@ -43,7 +44,7 @@ let make ~cmp ?(stripes = 8) ?(lap = Trait.Optimistic)
     mergeable = Option.is_some shared;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ~root:(Cq.root base) ~combine ?shared);
+        (Replay_log.Snapshot.create ~root:(Cq.root base) ?shared);
   }
 
 let log t txn = Stm.Local.get txn t.log_key

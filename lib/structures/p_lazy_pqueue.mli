@@ -1,7 +1,7 @@
 (** Lazy Proustian priority queue over the copy-on-write {!Cow_pqueue}
-    — the paper's [LazyPriorityQueue] (§4): snapshot shadow copies,
-    commit-time replay, optional root-CAS log combining ([combine]).
-    Same conflict abstraction as {!P_pqueue}. *)
+    — the paper's [LazyPriorityQueue] (§4): snapshot shadow copies
+    committed by root CAS; [combine] merges the insert-only
+    transactions of one combiner drain.  Same CA as {!P_pqueue}. *)
 
 type 'v t
 

@@ -1,7 +1,9 @@
 (** Lazy Proustian trie map with snapshot shadow copies — the paper's
     [LazyTrieMap] (Figure 2b): the first mutating operation snapshots
-    the Ctrie in O(1); further operations run on the shadow; commit
-    replays the log onto the shared Ctrie behind the STM's locks. *)
+    the Ctrie in O(1); further operations run on the shadow; commit,
+    behind the STM's locks, installs the shadow with one root CAS, or
+    replays the log onto the shared Ctrie when a commuting transaction
+    moved the root in between (log combining, §9 future work). *)
 
 module Ctrie = Proust_concurrent.Ctrie
 
@@ -12,12 +14,7 @@ type ('k, 'v) t = {
   log_key : ('k, 'v) Ctrie.snapshot Replay_log.Snapshot.t Stm.Local.key;
 }
 
-(** [combine] enables the snapshot-replay log-combining extension (§9
-    future work): commit installs the shadow with one root CAS when no
-    commuting transaction has slipped in, falling back to per-operation
-    replay otherwise. *)
-let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
-    ?(combine = false) () =
+let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?(size_mode = `Counter) () =
   let backing = Ctrie.create () in
   let ca = Conflict_abstraction.striped ~slots () in
   let lap = Trait.make_lap lap ~ca in
@@ -27,7 +24,7 @@ let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?(size_mode = `Counter)
     csize = Committed_size.create size_mode;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ~root:(Ctrie.root backing) ~combine);
+        (Replay_log.Snapshot.create ~root:(Ctrie.root backing));
   }
 
 let log t txn = Stm.Local.get txn t.log_key

@@ -1,9 +1,10 @@
 (** Lazy Proustian trie map with snapshot shadow copies — the paper's
     [LazyTrieMap] (Figure 2b): the first mutating operation snapshots
-    the Ctrie in O(1); commit replays the log onto the shared trie
-    behind the STM's locks, or — with [combine] — installs the shadow
-    wholesale with one root CAS when no commuting transaction slipped
-    in (§9 future work).  Opaque under every STM mode (Theorem 5.3). *)
+    the Ctrie in O(1); commit, behind the STM's locks, installs the
+    shadow with one root CAS, or replays the log onto the shared trie
+    when a commuting transaction moved the root in between (log
+    combining, §9 future work).  Opaque under every STM mode
+    (Theorem 5.3). *)
 
 type ('k, 'v) t
 
@@ -11,7 +12,6 @@ val make :
   ?slots:int ->
   ?lap:Trait.lap_choice ->
   ?size_mode:[ `Counter | `Transactional ] ->
-  ?combine:bool ->
   unit ->
   ('k, 'v) t
 

@@ -40,8 +40,7 @@ let band_ca ~slots ~index : 'k element Conflict_abstraction.t =
         (slots_of (Intent.key intent)))
 
 let make ?(slots = 64) ?(lap = Trait.Optimistic)
-    ?(strategy = Update_strategy.Lazy) ?(size_mode = `Counter)
-    ?(combine = false) ~index () =
+    ?(strategy = Update_strategy.Lazy) ?(size_mode = `Counter) ~index () =
   let base = Om.create () in
   {
     base;
@@ -53,7 +52,7 @@ let make ?(slots = 64) ?(lap = Trait.Optimistic)
     strategy;
     log_key =
       Stm.Local.key
-        (Replay_log.Snapshot.create ~root:(Om.root base) ~combine);
+        (Replay_log.Snapshot.create ~root:(Om.root base));
   }
 
 let log t txn = Stm.Local.get txn t.log_key

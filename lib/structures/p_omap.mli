@@ -5,8 +5,7 @@
     [index] function; point operations touch their key's band, range
     reads every intersecting band, and min/max observations the whole
     span.  Both update strategies are supported ([strategy]); the lazy
-    one can combine its replay log into a single root CAS
-    ([combine]). *)
+    one commits by installing its shadow with a single root CAS. *)
 
 (** Abstract-state elements of the band conflict abstraction. *)
 type 'k element = Point of 'k | Span of 'k * 'k | Everything
@@ -23,7 +22,6 @@ val make :
   ?lap:Trait.lap_choice ->
   ?strategy:Update_strategy.t ->
   ?size_mode:[ `Counter | `Transactional ] ->
-  ?combine:bool ->
   index:('k -> int) ->
   unit ->
   ('k, 'v) t

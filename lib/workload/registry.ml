@@ -40,40 +40,43 @@ let config_for (meta : T.meta) =
 (* Registry names override the structure's intrinsic meta name (two
    entries may wrap the same structure under different laps), and the
    override is pushed into the ops the entry builds so metrics scopes
-   and trace labels agree with the registry key. *)
+   and trace labels agree with the registry key.  [find] builds only
+   the entry it returns, and [names] none. *)
+let entry name meta_of target =
+  ( name,
+    fun () ->
+      let meta = meta_of () in
+      { name; meta; config = config_for meta; target } )
+
 let map_entry name make =
   let make () =
     let o = make () in
     { o with T.Map.meta = { o.T.Map.meta with T.name = name } }
   in
-  let meta = (make ()).T.Map.meta in
-  { name; meta; config = config_for meta; target = Map make }
+  entry name (fun () -> (make ()).T.Map.meta) (Map make)
 
 let queue_entry name make =
   let make () =
     let o = make () in
     { o with T.Queue.meta = { o.T.Queue.meta with T.name = name } }
   in
-  let meta = (make ()).T.Queue.meta in
-  { name; meta; config = config_for meta; target = Queue make }
+  entry name (fun () -> (make ()).T.Queue.meta) (Queue make)
 
 let pqueue_entry name make =
   let make () =
     let o = make () in
     { o with T.Pqueue.meta = { o.T.Pqueue.meta with T.name = name } }
   in
-  let meta = (make ()).T.Pqueue.meta in
-  { name; meta; config = config_for meta; target = Pqueue make }
+  entry name (fun () -> (make ()).T.Pqueue.meta) (Pqueue make)
 
 let counter_entry name make =
   let make () =
     let o = make () in
     { o with T.Counter.meta = { o.T.Counter.meta with T.name = name } }
   in
-  let meta = (make ()).T.Counter.meta in
-  { name; meta; config = config_for meta; target = Counter make }
+  entry name (fun () -> (make ()).T.Counter.meta) (Counter make)
 
-let all ?(slots = 1024) () =
+let builders ~slots =
   [
     (* -- maps: baselines ------------------------------------------ *)
     map_entry "stm-map" (fun () -> B.Stm_hashmap.ops (B.Stm_hashmap.make ()));
@@ -125,10 +128,15 @@ let all ?(slots = 1024) () =
         S.P_striped_counter.ops (S.P_striped_counter.make ()));
   ]
 
+let all ?(slots = 1024) () =
+  List.map (fun (_, build) -> build ()) (builders ~slots)
+
 let maps ?slots () =
   List.filter
     (fun e -> match e.target with Map _ -> true | _ -> false)
     (all ?slots ())
 
-let find ?slots name = List.find_opt (fun e -> e.name = name) (all ?slots ())
-let names ?slots () = List.map (fun e -> e.name) (all ?slots ())
+let find ?(slots = 1024) name =
+  Option.map (fun build -> build ()) (List.assoc_opt name (builders ~slots))
+
+let names () = List.map fst (builders ~slots:1024)

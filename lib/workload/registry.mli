@@ -31,5 +31,8 @@ val config_for : Proust_structures.Trait.meta -> Stm.config option
 
 val all : ?slots:int -> unit -> entry list
 val maps : ?slots:int -> unit -> entry list
+
+(** Builds only the named entry's structure (to read its meta). *)
 val find : ?slots:int -> string -> entry option
-val names : ?slots:int -> unit -> string list
+
+val names : unit -> string list

@@ -547,15 +547,31 @@ let test_snapshot_log_abort () =
       end);
   check ci "aborted replay dropped" 1 (List.length (Atomic.get base))
 
-(* With [combine], a root that moved after the shadow was taken makes
-   the wholesale install CAS fail; commit must then replay the logged
-   step on top of the foreign write instead of dropping either. *)
+(* On an uncontended commit the root CAS installs the shadow itself:
+   the logged step is not run a second time on the root. *)
+let test_snapshot_log_install () =
+  let base = Atomic.make [ 1 ] in
+  let runs = ref 0 and shadow = ref [] in
+  Stm.atomically (fun txn ->
+      let log = Replay_log.Snapshot.create ~root:base txn in
+      Replay_log.Snapshot.update txn log (fun s ->
+          incr runs;
+          (2 :: s, ()));
+      shadow :=
+        Replay_log.Snapshot.read_only log ~shadow:Fun.id ~direct:(fun () ->
+            []));
+  check ci "step ran once" 1 !runs;
+  check cb "root is the shadow" true (Atomic.get base == !shadow)
+
+(* A root that moved after the shadow was taken makes the install CAS
+   fail; commit must then replay the logged step on top of the foreign
+   write instead of dropping either. *)
 let test_snapshot_log_install_fallback () =
   let base = Atomic.make [ 1 ] in
   let tries = ref 0 in
   Stm.atomically (fun txn ->
       incr tries;
-      let log = Replay_log.Snapshot.create ~root:base ~combine:true txn in
+      let log = Replay_log.Snapshot.create ~root:base txn in
       Replay_log.Snapshot.update txn log (fun s -> (2 :: s, ()));
       Atomic.set base (3 :: Atomic.get base));
   check ci "one attempt" 1 !tries;
@@ -656,6 +672,7 @@ let suite =
       prop_memo_matches_model;
     test "snapshot log" test_snapshot_log;
     test "snapshot log abort" test_snapshot_log_abort;
+    test "snapshot commit installs the shadow" test_snapshot_log_install;
     test "snapshot log install falls back to replay"
       test_snapshot_log_install_fallback;
     test "committed size counter" (committed_size_roundtrip `Counter);

@@ -535,7 +535,7 @@ let test_undo_combining_conserves () =
 let test_install_combining_fast_path () =
   (* Single-threaded: the root CAS must always succeed, and committed
      state must match exactly. *)
-  let m = S.P_lazy_triemap.make ~combine:true () in
+  let m = S.P_lazy_triemap.make () in
   Stm.atomically (fun txn ->
       for i = 0 to 49 do
         ignore (S.P_lazy_triemap.put m txn i (i * 2))
@@ -548,7 +548,7 @@ let test_install_combining_fast_path () =
 let test_install_combining_fallback () =
   (* Force the fallback: commuting transactions interleave commits, so
      some root CASes fail and replay must preserve every update. *)
-  let m = S.P_lazy_triemap.make ~combine:true () in
+  let m = S.P_lazy_triemap.make () in
   spawn_all 4 (fun d ->
       for i = 0 to 249 do
         Stm.atomically (fun txn ->

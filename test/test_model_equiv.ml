@@ -243,8 +243,9 @@ let suite =
     omap_equiv "omap-eager" ~config:eager_struct_cfg (fun () ->
         S.P_omap.make ~slots:8 ~index:(fun k -> k / 4)
           ~strategy:Proust_core.Update_strategy.Eager ());
-    omap_equiv "omap-lazy-combine" (fun () ->
-        S.P_omap.make ~slots:8 ~index:(fun k -> k / 4) ~combine:true ());
+    omap_equiv "omap-lazy-pess" (fun () ->
+        S.P_omap.make ~slots:8 ~index:(fun k -> k / 4)
+          ~lap:S.Trait.Pessimistic ());
     skipmap_equiv "skipmap-pess" (fun () ->
         S.P_skipmap.make ~slots:8 ~index:(fun k -> k / 4)
           ~lap:S.Trait.Pessimistic ());

@@ -19,7 +19,12 @@
 #                                           election;
 #   lazy-snap lazy-lazy     t=1 u=1   o=16  the lazy snapshot trie map:
 #                                           Ctrie shadow copies and the
-#                                           persistent HAMT's path copies.
+#                                           persistent HAMT's path copies,
+#                                           made once per put: commit
+#                                           installs the shadow with one
+#                                           root CAS, so a cell that
+#                                           replays each put onto the
+#                                           root again reads ~1.7x.
 #
 # The cells are single-threaded on purpose: no contention means no
 # aborts, so words-per-commit is a deterministic property of the code
