@@ -381,14 +381,14 @@ let ablation_combine () =
     entries
 
 let structures_bench () =
-  W.Report.section "STRUCT-BENCH: fifo / stack / ordered-map wrappers";
+  W.Report.section "STRUCT-BENCH: fifo wrappers";
   Printf.printf "%-22s %4s %10s %12s %9s %9s\n" "impl" "t" "mean(ms)" "ops/s"
     "commits" "aborts";
   Printf.printf "%s\n" (String.make 72 '-');
   let total = max 1_000 (total_ops / 2) in
   let bench : type q.
-      string -> ?config:Stm.config -> (unit -> q) -> (q -> Stm.txn -> int -> unit) -> unit =
-   fun name ?config make_q step ->
+      string -> (unit -> q) -> (q -> Stm.txn -> int -> unit) -> unit =
+   fun name make_q step ->
     List.iter
       (fun threads ->
         let q = make_q () in
@@ -398,7 +398,7 @@ let structures_bench () =
           1000.0
           *. W.Runner.timed threads (fun _ () ->
                  for j = 1 to per do
-                   Stm.atomically ?config (fun txn -> step q txn j)
+                   Stm.atomically (fun txn -> step q txn j)
                  done)
         in
         let st = Stats.diff before (Stats.read ()) in
@@ -407,7 +407,6 @@ let structures_bench () =
           st.Stats.commits st.Stats.aborts)
       threads_list
   in
-  let eager_mode = { (Stm.get_default_config ()) with Stm.mode = Stm.Eager_lazy } in
   bench "fifo-eager-pess"
     (fun () -> S.P_fifo.make ~lap:S.Trait.Pessimistic ())
     (fun q txn j ->
@@ -417,18 +416,7 @@ let structures_bench () =
     (fun () -> S.P_lazy_fifo.make ())
     (fun q txn j ->
       if j land 1 = 0 then S.P_lazy_fifo.enqueue q txn j
-      else ignore (S.P_lazy_fifo.dequeue q txn));
-  bench "stack-eager-opt" ~config:eager_mode
-    (fun () -> S.P_stack.make ())
-    (fun q txn j ->
-      if j land 1 = 0 then S.P_stack.push q txn j
-      else ignore (S.P_stack.pop q txn));
-  bench "omap-lazy-opt"
-    (fun () -> S.P_omap.make ~index:(fun k -> k / 16) ())
-    (fun q txn j ->
-      let k = j land 1023 in
-      if j land 3 = 0 then ignore (S.P_omap.range q txn ~lo:k ~hi:(k + 32))
-      else ignore (S.P_omap.put q txn k j))
+      else ignore (S.P_lazy_fifo.dequeue q txn))
 
 let compose_bench () =
   W.Report.section

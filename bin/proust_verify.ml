@@ -57,16 +57,9 @@ let pack name ~threshold ~literal ~slots ~stripes =
           candidates =
             [ V.Ca_spec.broken_fifo (); V.Ca_spec.fifo () ];
         }
-  | "stack" ->
-      Packed
-        {
-          model = V.Adt_model.small_stack ();
-          ca = V.Ca_spec.stack ();
-          candidates = [ V.Ca_spec.stack () ];
-        }
   | other ->
       prerr_endline
-        ("unknown model: " ^ other ^ " (counter|map|pqueue|queue|stack)");
+        ("unknown model: " ^ other ^ " (counter|map|pqueue|queue)");
       exit 2
 
 let do_check (Packed p) =
@@ -137,7 +130,7 @@ open Cmdliner
 let model_arg =
   Arg.(
     value & opt string "counter"
-    & info [ "model" ] ~doc:"Model: counter, map, pqueue, queue, stack")
+    & info [ "model" ] ~doc:"Model: counter, map, pqueue, queue")
 
 let threshold_arg =
   Arg.(value & opt int 2 & info [ "threshold" ] ~doc:"Counter CA threshold")

@@ -1,6 +1,6 @@
-(* A warehouse built from three Proustian objects — a set of known
-   SKUs (wrapping a lock-free list), a stock-level map, and the §3
-   counter — exercised identically under two design-space points:
+(* A warehouse built from two Proustian objects — a stock-level map
+   and the §3 counter of distinct SKUs — exercised identically under
+   two design-space points:
 
      eager updates + pessimistic locks  (boosting's corner)
      lazy updates + optimistic locks    (predication's corner)
@@ -13,7 +13,6 @@
 module S = Proust_structures
 
 type shop = {
-  skus : string S.P_set.t;
   stock : (string, int) S.Trait.Map.ops;
   distinct : S.P_counter.t;
   config : Stm.config option;
@@ -21,7 +20,6 @@ type shop = {
 
 let eager_pessimistic () =
   {
-    skus = S.P_set.make ~lap:S.Trait.Pessimistic ();
     stock = S.P_hashmap.ops (S.P_hashmap.make ~lap:S.Trait.Pessimistic ());
     distinct = S.P_counter.make ~lap:S.Trait.Pessimistic ();
     config = None;
@@ -29,7 +27,6 @@ let eager_pessimistic () =
 
 let lazy_optimistic () =
   {
-    skus = S.P_set.make ~lap:S.Trait.Optimistic ();
     stock = S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ());
     distinct = S.P_counter.make ~lap:S.Trait.Optimistic ();
     config =
@@ -39,9 +36,13 @@ let lazy_optimistic () =
 
 let restock shop sku qty =
   Stm.atomically ?config:shop.config (fun txn ->
-      if S.P_set.add shop.skus txn sku then S.P_counter.incr shop.distinct txn;
       let current =
-        Option.value ~default:0 (shop.stock.S.Trait.Map.get txn sku)
+        match shop.stock.S.Trait.Map.get txn sku with
+        | Some n -> n
+        | None ->
+            (* a SKU's first restock binds it: count it once *)
+            S.P_counter.incr shop.distinct txn;
+            0
       in
       ignore (shop.stock.S.Trait.Map.put txn sku (current + qty)))
 
@@ -69,17 +70,22 @@ let drive name shop =
             done))
   in
   List.iter Domain.join ds;
-  let in_stock =
+  let in_stock, stocked =
     Stm.atomically ?config:shop.config (fun txn ->
         Array.fold_left
-          (fun acc sku ->
-            acc + Option.value ~default:0 (shop.stock.S.Trait.Map.get txn sku))
-          0 skus)
+          (fun (units, bound) sku ->
+            match shop.stock.S.Trait.Map.get txn sku with
+            | Some n -> (units + n, bound + 1)
+            | None -> (units, bound))
+          (0, 0) skus)
   in
-  Printf.printf "%-20s distinct-skus=%d in-stock=%d sold=%d\n" name
-    (S.P_counter.peek shop.distinct)
-    in_stock (Atomic.get sold)
+  let distinct = S.P_counter.peek shop.distinct in
+  Printf.printf "%-20s distinct-skus=%d in-stock=%d sold=%d (%s)\n" name
+    distinct in_stock (Atomic.get sold)
+    (if distinct = stocked then "counted once each" else "MISCOUNTED (bug!)");
+  distinct = stocked
 
 let () =
-  drive "eager/pessimistic" (eager_pessimistic ());
-  drive "lazy/optimistic" (lazy_optimistic ())
+  let ok_eager = drive "eager/pessimistic" (eager_pessimistic ()) in
+  let ok_lazy = drive "lazy/optimistic" (lazy_optimistic ()) in
+  exit (if ok_eager && ok_lazy then 0 else 1)

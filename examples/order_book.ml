@@ -21,9 +21,10 @@ let () =
   let asks =
     S.P_lazy_pqueue.make ~cmp:(fun a b -> compare (a.price, a.id) (b.price, b.id)) ()
   in
-  let trades : (int, int) S.P_omap.t =
-    (* trade sequence number -> execution price *)
-    S.P_omap.make ~slots:32 ~index:(fun seq -> seq / 8) ()
+  let trades : (int, int) S.P_snap_omap.t =
+    (* trade sequence number -> execution price; appends already
+       serialize on [trade_seq], so one snapshot root costs nothing *)
+    S.P_snap_omap.make ()
   in
   let trade_seq = Tvar.make 0 in
 
@@ -45,7 +46,8 @@ let () =
             ignore (S.P_lazy_pqueue.remove_min asks txn);
             let seq = Stm.read txn trade_seq in
             Stm.write txn trade_seq (seq + 1);
-            ignore (S.P_omap.put trades txn seq ((bid.price + ask.price) / 2));
+            ignore
+              (S.P_snap_omap.put trades txn seq ((bid.price + ask.price) / 2));
             true
         | _ -> false)
   in
@@ -83,7 +85,7 @@ let () =
   (* Range-scan the last few trades from the ordered map. *)
   let recent =
     Stm.atomically (fun txn ->
-        S.P_omap.range trades txn ~lo:(max 0 (executed - 5)) ~hi:executed)
+        S.P_snap_omap.range trades txn ~lo:(max 0 (executed - 5)) ~hi:executed)
   in
   Printf.printf "last trades: %s\n"
     (String.concat ", "

@@ -31,15 +31,12 @@ module Snapshot = struct
   let bindings s = Avl.bindings s.tree
 end
 
-let root t = t
 let snapshot = Atomic.get
 let get t k = Snapshot.find (snapshot t) k
 let contains t k = get t k <> None
 let put t k v = Root.update t (fun s -> Snapshot.add s k v)
 let remove t k = Root.update t (fun s -> Snapshot.remove s k)
 let min_binding t = Snapshot.min_binding (snapshot t)
-let max_binding t = Snapshot.max_binding (snapshot t)
 let range t ~lo ~hi = Snapshot.range (snapshot t) ~lo ~hi
 let size t = Snapshot.size (snapshot t)
 let is_empty t = size t = 0
-let bindings t = Snapshot.bindings (snapshot t)

@@ -13,7 +13,6 @@ val put : ('k, 'v) t -> 'k -> 'v -> 'v option
 val remove : ('k, 'v) t -> 'k -> 'v option
 val contains : ('k, 'v) t -> 'k -> bool
 val min_binding : ('k, 'v) t -> ('k * 'v) option
-val max_binding : ('k, 'v) t -> ('k * 'v) option
 
 (** Ascending bindings with [lo <= k <= hi] at a single linearization
     point (an implicit snapshot). *)
@@ -22,12 +21,6 @@ val range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k * 'v) list
 val size : ('k, 'v) t -> int
 val is_empty : ('k, 'v) t -> bool
 val snapshot : ('k, 'v) t -> ('k, 'v) snapshot
-
-(** The atomic root itself, for {!Root.update} steps and wholesale
-    snapshot installs by replay logs. *)
-val root : ('k, 'v) t -> ('k, 'v) snapshot Atomic.t
-
-val bindings : ('k, 'v) t -> ('k * 'v) list
 
 module Snapshot : sig
   type ('k, 'v) t = ('k, 'v) snapshot

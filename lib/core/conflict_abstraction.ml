@@ -29,7 +29,6 @@ let indexed ~slots ~index =
       slot)
 
 let exact ~slots accesses = { slots; slot_of = None; accesses }
-let coarse () = per_key ~slots:1 (fun _ -> 0)
 
 let group_accesses ~width ~base ~stripe intent =
   if Intent.is_write intent then

@@ -29,8 +29,8 @@ type access = { slot : int; write : bool }
 type 'k t = {
   slots : int;  (** the region size M, a tuning parameter (§3) *)
   slot_of : ('k -> int) option;
-      (** present for per-key abstractions ({!striped}, {!indexed},
-          {!coarse}): every intent on key [k] is exactly one access to
+      (** present for per-key abstractions ({!striped}, {!indexed}):
+          every intent on key [k] is exactly one access to
           slot [slot_of k], read or write as the intent.  Lock
           allocators use it to acquire a single key without building
           an intent or access list.  [None] for {!exact}, whose
@@ -49,10 +49,6 @@ val indexed : slots:int -> index:('k -> int) -> 'k t
 
 (** Fully custom abstraction. *)
 val exact : slots:int -> (stripe:int -> 'k Intent.t -> access list) -> 'k t
-
-(** Coarse single-slot abstraction (a single global read/write lock) —
-    the conservative approximation always available (§1). *)
-val coarse : unit -> 'k t
 
 (** [group ~width ~base] maps an element to a band of [width] sub-slots
     starting at [base]: a write touches the sub-slot selected by the

@@ -244,10 +244,10 @@ let effective_linger_ns () =
 (* ------------------------------------------------------------------ *)
 (* The publication list                                                 *)
 
-(* A Treiber stack of slots; the combiner's drain exchanges the whole
-   list and reverses it, so service order is FIFO per drain.  Abandoned
-   entries are pushed back oldest-first, preserving approximate FIFO
-   through the same exchange-and-reverse discipline. *)
+(* A lock-free CAS stack of slots; the combiner's drain exchanges the
+   whole list and reverses it, so service order is FIFO per drain.
+   Abandoned entries are pushed back oldest-first, preserving
+   approximate FIFO through the same exchange-and-reverse discipline. *)
 let pub_list : slot list Atomic.t = Atomic.make []
 
 let rec push_slot sl =

@@ -26,17 +26,6 @@ let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?size_mode
         ~name:"p-hashmap" ();
   }
 
-(** Wrap a caller-supplied lock allocator (custom conflict
-    abstractions, shared regions, ...). *)
-let make_custom ~lap ?size_mode ?combine_undo () =
-  let backing = Proust_concurrent.Chashmap.create () in
-  {
-    backing;
-    wrapper =
-      Eager_map.make ~base:(base_of backing) ~lap ?size_mode ?combine_undo
-        ~name:"p-hashmap" ();
-  }
-
 let get t = Eager_map.get t.wrapper
 let put t = Eager_map.put t.wrapper
 let remove t = Eager_map.remove t.wrapper

@@ -18,15 +18,6 @@ val make :
   unit ->
   ('k, 'v) t
 
-(** Wrap a caller-supplied lock allocator (custom conflict
-    abstractions, shared slot regions, ...). *)
-val make_custom :
-  lap:'k Lock_allocator.t ->
-  ?size_mode:[ `Counter | `Transactional ] ->
-  ?combine_undo:bool ->
-  unit ->
-  ('k, 'v) t
-
 (** Base-map accessors over a raw backing structure, for callers
     composing their own wrappers. *)
 val base_of : ('k, 'v) Proust_concurrent.Chashmap.t -> ('k, 'v) Eager_map.base

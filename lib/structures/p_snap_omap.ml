@@ -5,7 +5,7 @@
     consistent by construction.
 
     The design point this occupies: writers serialize on the root (the
-    opposite trade from {!P_omap}'s banded conflict abstraction), but
+    opposite trade from a per-key conflict abstraction), but
     under [Multi_version] a {!Stm.read_only} transaction scans an
     entire table — range after range — abort-free against any writer
     load, because the root tvar's version chain hands it the committed

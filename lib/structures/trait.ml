@@ -2,12 +2,12 @@
 
     Every transactional structure in the repository — Proustian
     wrappers, lazy replay-log wrappers, and STM/lock baselines alike —
-    exposes one of three first-class trait records ({!Map.ops},
-    {!Queue.ops}, {!Pqueue.ops}).  All three share a common {!meta}
-    header describing where the implementation sits in the paper's
-    design space (Figure 1): its update strategy, its lock-allocation
-    policy, and the STM conflict-detection mode it requires to stay
-    opaque.  Benchmarks, the workload registry, and the
+    exposes one of four first-class trait records ({!Map.ops},
+    {!Queue.ops}, {!Pqueue.ops}, {!Counter.ops}).  All four share a
+    common {!meta} header describing where the implementation sits in
+    the paper's design space (Figure 1): its update strategy, its
+    lock-allocation policy, and the STM conflict-detection mode it
+    requires to stay opaque.  Benchmarks, the workload registry, and the
     linearizability harness enumerate implementations through this
     header instead of hand-maintained lists. *)
 
@@ -77,7 +77,7 @@ let make_lap (choice : lap_choice) ~(ca : 'k Conflict_abstraction.t) :
   | Pessimistic -> Lock_allocator.pessimistic ~ca ()
 
 (* ------------------------------------------------------------------ *)
-(* The three traits                                                    *)
+(* The four traits                                                    *)
 
 module Map = struct
   (** The transactional map trait (Listing 2), as a first-class record
@@ -191,10 +191,10 @@ module Pqueue = struct
 end
 
 module Counter = struct
-  (** The non-negative counter trait (§3's running example), shared by
-      the Proustian counter and the counting semaphore: [incr] always
-      succeeds, [decr] returns [false] instead of going negative, and
-      [value] is a transactional read of the current count. *)
+  (** The non-negative counter trait (§3's running example), the
+      registry's view of {!P_counter}: [incr] always succeeds, [decr]
+      returns [false] instead of going negative, and [value] is a
+      transactional read of the current count. *)
   type ops = {
     meta : meta;
     incr : Stm.txn -> unit;

@@ -193,37 +193,6 @@ let small_queue ?(values = [ 0; 1 ]) ?(max_len = 3) () :
   }
 
 (* ------------------------------------------------------------------ *)
-(* A small LIFO stack (top-first list).                                *)
-
-type st_op = StPush of int | StPop | StTop
-type st_ret = StUnit | StVal of int option
-
-let small_stack ?(values = [ 0; 1 ]) ?(max_len = 3) () :
-    (int list, st_op, st_ret) t =
-  {
-    name = "small-stack";
-    states = all_lists ~values ~max_len;
-    ops = [ StPop; StTop ] @ List.map (fun v -> StPush v) values;
-    apply =
-      (fun s op ->
-        match op with
-        | StPush v -> (v :: s, StUnit)
-        | StPop -> (
-            match s with [] -> ([], StVal None) | x :: rest -> (rest, StVal (Some x)))
-        | StTop ->
-            (s, StVal (match s with [] -> None | x :: _ -> Some x)));
-    equal_state = (fun a b -> a = b);
-    equal_ret = (fun a b -> a = b);
-    show_state =
-      (fun s -> "|" ^ String.concat ";" (List.map string_of_int s) ^ "|");
-    show_op =
-      (function
-      | StPush v -> Printf.sprintf "push(%d)" v
-      | StPop -> "pop"
-      | StTop -> "top");
-  }
-
-(* ------------------------------------------------------------------ *)
 (* The §3 counter with an observer: adds a transactional value read    *)
 (* (P_counter's observable band), so recorded reads land in-history.   *)
 
@@ -246,47 +215,6 @@ let obs_counter ~bound : (int, obs_counter_op, obs_counter_ret) t =
     show_state = string_of_int;
     show_op =
       (function CIncr -> "incr" | CDecr -> "decr" | CGet -> "get");
-  }
-
-(* ------------------------------------------------------------------ *)
-(* A small set (sorted list of ints).                                  *)
-
-type set_op = SAdd of int | SRemove of int | SMem of int
-type set_ret = SBool of bool
-
-let all_subsets ~values =
-  let rec go = function
-    | [] -> [ [] ]
-    | v :: rest ->
-        let tails = go rest in
-        tails @ List.map (fun t -> v :: t) tails
-  in
-  List.sort_uniq compare (List.map (List.sort compare) (go values))
-
-let small_set ?(values = [ 0; 1; 2 ]) () : (int list, set_op, set_ret) t =
-  {
-    name = "small-set";
-    states = all_subsets ~values;
-    ops = List.concat_map (fun v -> [ SAdd v; SRemove v; SMem v ]) values;
-    apply =
-      (fun s op ->
-        match op with
-        | SAdd v ->
-            if List.mem v s then (s, SBool false)
-            else (List.sort compare (v :: s), SBool true)
-        | SRemove v ->
-            if List.mem v s then (List.filter (fun x -> x <> v) s, SBool true)
-            else (s, SBool false)
-        | SMem v -> (s, SBool (List.mem v s)));
-    equal_state = (fun a b -> a = b);
-    equal_ret = (fun a b -> a = b);
-    show_state =
-      (fun s -> "{" ^ String.concat ";" (List.map string_of_int s) ^ "}");
-    show_op =
-      (function
-      | SAdd v -> Printf.sprintf "add(%d)" v
-      | SRemove v -> Printf.sprintf "remove(%d)" v
-      | SMem v -> Printf.sprintf "mem(%d)" v);
   }
 
 (* ------------------------------------------------------------------ *)

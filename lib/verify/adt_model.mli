@@ -56,28 +56,12 @@ val all_lists : values:int list -> max_len:int -> int list list
 val small_queue :
   ?values:int list -> ?max_len:int -> unit -> (int list, q_op, q_ret) t
 
-(** {1 A small LIFO stack (top-first list)} *)
-
-type st_op = StPush of int | StPop | StTop
-type st_ret = StUnit | StVal of int option
-
-val small_stack :
-  ?values:int list -> ?max_len:int -> unit -> (int list, st_op, st_ret) t
-
 (** {1 The §3 counter with an observable value read} *)
 
 type obs_counter_op = CIncr | CDecr | CGet
 type obs_counter_ret = CUnit | CBool of bool | CInt of int
 
 val obs_counter : bound:int -> (int, obs_counter_op, obs_counter_ret) t
-
-(** {1 A small set (sorted list)} *)
-
-type set_op = SAdd of int | SRemove of int | SMem of int
-type set_ret = SBool of bool
-
-val all_subsets : values:int list -> int list list
-val small_set : ?values:int list -> unit -> (int list, set_op, set_ret) t
 
 (** {1 A small double-ended queue (front-first list)} *)
 

@@ -156,47 +156,3 @@ let broken_fifo () : (int list, Adt_model.q_op) t =
         | Adt_model.QEnq _ -> [ 1 ]
         | _ -> good.writes ~stripe s op);
   }
-
-(** Stack abstraction: a single exclusively-written [Top] element. *)
-let stack () : (int list, Adt_model.st_op) t =
-  {
-    name = "stack";
-    slots = 1;
-    stripe_width = 1;
-    reads =
-      (fun ~stripe:_ _ op ->
-        match op with Adt_model.StTop -> [ 0 ] | _ -> []);
-    writes =
-      (fun ~stripe:_ _ op ->
-        match op with
-        | Adt_model.StPush _ | Adt_model.StPop -> [ 0 ]
-        | Adt_model.StTop -> []);
-  }
-
-(** Band abstraction for the ordered map with range queries
-    ({!Proust_structures.P_omap}): keys are cut into [slots] contiguous
-    bands; point operations touch their key's band, range reads touch
-    every intersecting band. *)
-let omap_bands ?(slots = 2) ~index () : ((int * int) list, Adt_model.o_op) t =
-  let clamp i = max 0 (min (slots - 1) i) in
-  let band k = clamp (index k) in
-  let span lo hi =
-    let a = band lo and b = band hi in
-    List.init (max 0 (b - a) + 1) (fun i -> a + i)
-  in
-  {
-    name = Printf.sprintf "omap-bands(M=%d)" slots;
-    slots;
-    stripe_width = 1;
-    reads =
-      (fun ~stripe:_ _ op ->
-        match op with
-        | Adt_model.OGet k -> [ band k ]
-        | Adt_model.ORange (lo, hi) -> span lo hi
-        | Adt_model.OPut _ | Adt_model.ORemove _ -> []);
-    writes =
-      (fun ~stripe:_ _ op ->
-        match op with
-        | Adt_model.OPut (k, _) | Adt_model.ORemove k -> [ band k ]
-        | Adt_model.OGet _ | Adt_model.ORange _ -> []);
-  }

@@ -82,8 +82,6 @@ let builders ~slots =
     map_entry "stm-map" (fun () -> B.Stm_hashmap.ops (B.Stm_hashmap.make ()));
     map_entry "predication" (fun () ->
         B.Predication_map.ops (B.Predication_map.make ()));
-    map_entry "boosted" (fun () -> B.Boosted_map.ops (B.Boosted_map.make ~slots ()));
-    map_entry "coarse" (fun () -> B.Coarse_map.ops (B.Coarse_map.make ()));
     (* -- maps: Proustian design-space points ---------------------- *)
     map_entry "eager-opt" (fun () -> S.P_hashmap.ops (S.P_hashmap.make ~slots ()));
     map_entry "pessimistic" (fun () ->
@@ -94,13 +92,8 @@ let builders ~slots =
         S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ~slots ~combine:true ()));
     map_entry "lazy-snap" (fun () ->
         S.P_lazy_triemap.ops (S.P_lazy_triemap.make ~slots ()));
-    map_entry "eager-trie" (fun () -> S.P_triemap.ops (S.P_triemap.make ~slots ()));
-    (* Ordered maps expose a plain-map view for the registry; range
-       queries stay behind their own APIs. *)
-    map_entry "omap" (fun () ->
-        S.P_omap.map_ops (S.P_omap.make ~slots ~index:(fun k -> k / 16) ()));
-    map_entry "skipmap" (fun () ->
-        S.P_skipmap.map_ops (S.P_skipmap.make ~slots ~index:(fun k -> k / 16) ()));
+    (* The ordered map exposes a plain-map view for the registry; range
+       queries stay behind its own API. *)
     map_entry "omap-snap" (fun () -> S.P_snap_omap.map_ops (S.P_snap_omap.make ()));
     (* -- hot-key mitigation A/B points ----------------------------- *)
     (* Same structure as "eager-opt" with writes serialized through a
@@ -123,9 +116,6 @@ let builders ~slots =
     (* -- counters ------------------------------------------------- *)
     counter_entry "p-counter" (fun () ->
         S.P_counter.ops (S.P_counter.make ~observable:true ()));
-    (* The striped escape hatch, A/B against "p-counter". *)
-    counter_entry "p-counter-striped" (fun () ->
-        S.P_striped_counter.ops (S.P_striped_counter.make ()));
   ]
 
 let all ?(slots = 1024) () =

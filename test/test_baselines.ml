@@ -1,5 +1,5 @@
-(** Tests for the comparison systems: the pure-STM map, transactional
-    predication, and the boosting/coarse presets. *)
+(** Tests for the comparison systems: the pure-STM map and
+    transactional predication. *)
 
 open Util
 module B = Proust_baselines
@@ -12,8 +12,6 @@ let baseline_maps :
     ( "stm-map-sized",
       fun () -> B.Stm_hashmap.ops (B.Stm_hashmap.make ~track_size:true ()) );
     ("predication", fun () -> B.Predication_map.ops (B.Predication_map.make ()));
-    ("boosted", fun () -> B.Boosted_map.ops (B.Boosted_map.make ()));
-    ("coarse", fun () -> B.Coarse_map.ops (B.Coarse_map.make ()));
   ]
 
 let semantics (ops : (int, int) S.Trait.Map.ops) () =

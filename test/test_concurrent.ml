@@ -549,45 +549,6 @@ let test_blocking_pqueue_concurrent () =
   check ci "all popped" 2_000 (Atomic.get popped);
   check cb "empty" true (C.Blocking_pqueue.is_empty q)
 
-(* ------------------------------------------------------------------ *)
-(* Lf_list                                                              *)
-
-let test_lf_list_basics () =
-  let s = C.Lf_list.create () in
-  check cb "add" true (C.Lf_list.add s 5);
-  check cb "dup" false (C.Lf_list.add s 5);
-  check cb "add 2" true (C.Lf_list.add s 2);
-  check cb "contains" true (C.Lf_list.contains s 5);
-  check cb "not contains" false (C.Lf_list.contains s 4);
-  check clist_i "sorted" [ 2; 5 ] (C.Lf_list.to_list s);
-  check cb "remove" true (C.Lf_list.remove s 5);
-  check cb "remove absent" false (C.Lf_list.remove s 5);
-  check clist_i "after remove" [ 2 ] (C.Lf_list.to_list s)
-
-let test_lf_list_concurrent_disjoint () =
-  let s = C.Lf_list.create () in
-  spawn_all 4 (fun d ->
-      for i = 0 to 999 do
-        ignore (C.Lf_list.add s ((i * 4) + d))
-      done);
-  check ci "size" 4_000 (C.Lf_list.size s);
-  check clist_i "all present sorted" (List.init 4_000 Fun.id) (C.Lf_list.to_list s)
-
-let test_lf_list_concurrent_contended () =
-  (* All domains fight over the same small key space; final content
-     must equal the set of keys with odd add-remove imbalance... here
-     we just require: no crashes, and to_list is sorted+duplicate-free. *)
-  let s = C.Lf_list.create () in
-  spawn_all 4 (fun d ->
-      let rng = Random.State.make [| d |] in
-      for _ = 1 to 2_000 do
-        let k = Random.State.int rng 32 in
-        if Random.State.bool rng then ignore (C.Lf_list.add s k)
-        else ignore (C.Lf_list.remove s k)
-      done);
-  let l = C.Lf_list.to_list s in
-  check cb "sorted, no dups" true (List.sort_uniq Int.compare l = l)
-
 let suite =
   [
     test "rw_lock shared readers" test_rw_shared_readers;
@@ -640,7 +601,4 @@ let suite =
     test "blocking pqueue basics" test_blocking_pqueue_basics;
     test "blocking pqueue compaction" test_blocking_pqueue_compaction;
     slow "blocking pqueue concurrent" test_blocking_pqueue_concurrent;
-    test "lf_list basics" test_lf_list_basics;
-    slow "lf_list concurrent disjoint" test_lf_list_concurrent_disjoint;
-    slow "lf_list concurrent contended" test_lf_list_concurrent_contended;
   ]

@@ -63,15 +63,6 @@ let test_ca_indexed_bounds () =
     (List.hd (Conflict_abstraction.accesses_for ca ~stripe:0 [ Intent.Read 1 ]))
       .Conflict_abstraction.slot
 
-let test_ca_coarse () =
-  let ca = Conflict_abstraction.coarse () in
-  let acc =
-    Conflict_abstraction.accesses_for ca ~stripe:3
-      [ Intent.Read "x"; Intent.Write "y" ]
-  in
-  check ci "single slot" 1 (List.length acc);
-  check cb "write dominates" true (List.hd acc).Conflict_abstraction.write
-
 let test_ca_group () =
   let writes s =
     Conflict_abstraction.group_accesses ~width:4 ~base:1 ~stripe:s
@@ -97,7 +88,7 @@ let prop_ca_single_intent (choice, stripe, write, key) =
     match choice with
     | 0 -> Conflict_abstraction.striped ~slots:16 ()
     | 1 -> Conflict_abstraction.indexed ~slots:8 ~index:(fun k -> k mod 8)
-    | 2 -> Conflict_abstraction.coarse ()
+    | 2 -> Conflict_abstraction.indexed ~slots:1 ~index:(fun _ -> 0)
     | c ->
         let width = c - 2 in
         Conflict_abstraction.exact ~slots:(1 + width)
@@ -155,7 +146,7 @@ let test_pessimistic_blocks_conflicting () =
   check ci "write lock is exclusive" 1 (Atomic.get max_seen)
 
 let test_pessimistic_readers_share () =
-  let ca = Conflict_abstraction.coarse () in
+  let ca = Conflict_abstraction.indexed ~slots:1 ~index:(fun _ -> 0) in
   let lap = Lock_allocator.pessimistic ~ca () in
   let concurrent = Atomic.make 0 in
   let max_seen = Atomic.make 0 in
@@ -235,7 +226,9 @@ let test_optimistic_read_validation () =
    validation once. *)
 let test_optimistic_token_is_attempt_id () =
   let lap =
-    Lock_allocator.optimistic ~ca:(Conflict_abstraction.coarse ()) ()
+    Lock_allocator.optimistic
+      ~ca:(Conflict_abstraction.indexed ~slots:1 ~index:(fun _ -> 0))
+      ()
   in
   let reader_read = Atomic.make 0 and writer_done = Atomic.make 0 in
   let reader_tries = Atomic.make 0 in
@@ -644,7 +637,6 @@ let suite =
     test "ca strongest mode" test_ca_strongest_mode_wins;
     test "ca sorted slots" test_ca_sorted_slots;
     test "ca indexed bounds" test_ca_indexed_bounds;
-    test "ca coarse" test_ca_coarse;
     test "ca group accesses" test_ca_group;
     qcheck "ca single-intent fast path matches merge"
       QCheck2.Gen.(quad (0 -- 6) (0 -- 1_000) bool (0 -- 1_000))

@@ -174,15 +174,15 @@ let test_single_slot_map () =
     (Proust_structures.P_lazy_hashmap.committed_size m)
 
 let test_empty_range_queries () =
-  let m = Proust_structures.P_omap.make ~slots:4 ~index:(fun k -> k / 8) () in
+  let m = Proust_structures.P_snap_omap.make () in
   Stm.atomically (fun txn ->
       check cb "empty range" true
-        (Proust_structures.P_omap.range m txn ~lo:0 ~hi:100 = []);
+        (Proust_structures.P_snap_omap.range m txn ~lo:0 ~hi:100 = []);
       check cb "empty min" true
-        (Proust_structures.P_omap.min_binding m txn = None);
-      ignore (Proust_structures.P_omap.put m txn 5 50);
+        (Proust_structures.P_snap_omap.min_binding m txn = None);
+      ignore (Proust_structures.P_snap_omap.put m txn 5 50);
       check cb "inverted bounds" true
-        (Proust_structures.P_omap.range m txn ~lo:10 ~hi:0 = []))
+        (Proust_structures.P_snap_omap.range m txn ~lo:10 ~hi:0 = []))
 
 let test_sat_tautology_many_vars () =
   (* (x_i or not x_i) for 20 vars: trivially satisfiable. *)

@@ -1,8 +1,8 @@
-(** Tests for the extension round: new base structures (deque, Treiber
-    stack, persistent/COW queues, AVL/COW ordered map), new Proustian
-    wrappers (FIFO, stack, ordered map with ranges), the §9 future-work
-    optimisations (undo combining, snapshot-replay root-CAS combining),
-    the generalized SAT encoding and the CEGIS synthesizer. *)
+(** Tests for the extension round: new base structures (deque,
+    persistent/COW queues, AVL/COW ordered map), the Proustian FIFO
+    wrappers, the §9 future-work optimisations (undo combining,
+    snapshot-replay root-CAS combining), the generalized SAT encoding
+    and the CEGIS synthesizer. *)
 
 open Util
 module C = Proust_concurrent
@@ -46,32 +46,6 @@ let test_deque_concurrent () =
       done);
   check cb "size consistent with list" true
     (C.Deque.size d = List.length (C.Deque.to_list d))
-
-(* ------------------------------------------------------------------ *)
-(* Treiber stack                                                        *)
-
-let test_treiber () =
-  let s = C.Treiber.create () in
-  check copt_i "pop empty" None (C.Treiber.pop s);
-  C.Treiber.push s 1;
-  C.Treiber.push s 2;
-  check copt_i "peek" (Some 2) (C.Treiber.peek s);
-  check copt_i "pop" (Some 2) (C.Treiber.pop s);
-  check clist_i "to_list" [ 1 ] (C.Treiber.to_list s);
-  check ci "size" 1 (C.Treiber.size s)
-
-let test_treiber_concurrent () =
-  let s = C.Treiber.create () in
-  let popped = Atomic.make 0 in
-  spawn_all 4 (fun i ->
-      for j = 1 to 1_000 do
-        C.Treiber.push s ((i * 1_000) + j)
-      done;
-      for _ = 1 to 500 do
-        if C.Treiber.pop s <> None then Atomic.incr popped
-      done);
-  check ci "pops all succeeded" 2_000 (Atomic.get popped);
-  check ci "remaining" 2_000 (List.length (C.Treiber.to_list s))
 
 (* ------------------------------------------------------------------ *)
 (* Persistent / COW queues                                              *)
@@ -321,122 +295,6 @@ let fifo_tests =
       ])
     fifos
 
-(* ------------------------------------------------------------------ *)
-(* Proustian stack                                                     *)
-
-let stack_semantics lap config () =
-  let s = S.P_stack.make ~lap () in
-  let at f = Stm.atomically ?config f in
-  check copt_i "pop empty" None (at (fun txn -> S.P_stack.pop s txn));
-  at (fun txn -> S.P_stack.push s txn 1);
-  at (fun txn -> S.P_stack.push s txn 2);
-  check copt_i "top" (Some 2) (at (fun txn -> S.P_stack.top s txn));
-  check ci "size" 2 (at (fun txn -> S.P_stack.size s txn));
-  check copt_i "pop" (Some 2) (at (fun txn -> S.P_stack.pop s txn));
-  check clist_i "list" [ 1 ] (S.P_stack.to_list s)
-
-let test_stack_abort_unwinds () =
-  let s = S.P_stack.make ~lap:S.Trait.Pessimistic () in
-  Stm.atomically (fun txn -> S.P_stack.push s txn 1);
-  let tries = ref 0 in
-  Stm.atomically (fun txn ->
-      incr tries;
-      if !tries = 1 then begin
-        S.P_stack.push s txn 2;
-        ignore (S.P_stack.pop s txn);
-        ignore (S.P_stack.pop s txn);
-        S.P_stack.push s txn 9;
-        ignore (Stm.restart txn)
-      end);
-  check clist_i "unwound exactly" [ 1 ] (S.P_stack.to_list s)
-
-let test_stack_concurrent () =
-  let s = S.P_stack.make ~lap:S.Trait.Pessimistic () in
-  let popped = Atomic.make 0 in
-  spawn_all 4 (fun d ->
-      for i = 1 to 150 do
-        if (d + i) land 1 = 0 then
-          Stm.atomically (fun txn -> S.P_stack.push s txn i)
-        else if Stm.atomically (fun txn -> S.P_stack.pop s txn) <> None then
-          Atomic.incr popped
-      done);
-  check ci "conserved" 300
-    (Atomic.get popped + List.length (S.P_stack.to_list s))
-
-(* ------------------------------------------------------------------ *)
-(* Proustian ordered map                                               *)
-
-let omap_semantics strategy config () =
-  let m = S.P_omap.make ~slots:8 ~index:(fun k -> k / 8) ~strategy () in
-  let at f = Stm.atomically ?config f in
-  check copt_i "get empty" None (at (fun txn -> S.P_omap.get m txn 5));
-  ignore (at (fun txn -> S.P_omap.put m txn 5 50));
-  ignore (at (fun txn -> S.P_omap.put m txn 20 200));
-  ignore (at (fun txn -> S.P_omap.put m txn 40 400));
-  check copt_i "get" (Some 200) (at (fun txn -> S.P_omap.get m txn 20));
-  check
-    (Alcotest.list (Alcotest.pair ci ci))
-    "range" [ (5, 50); (20, 200) ]
-    (at (fun txn -> S.P_omap.range m txn ~lo:0 ~hi:30));
-  check cb "min" true
-    (at (fun txn -> S.P_omap.min_binding m txn) = Some (5, 50));
-  check cb "max" true
-    (at (fun txn -> S.P_omap.max_binding m txn) = Some (40, 400));
-  check ci "size" 3 (at (fun txn -> S.P_omap.size m txn));
-  check copt_i "remove" (Some 50) (at (fun txn -> S.P_omap.remove m txn 5));
-  check ci "size after" 2 (at (fun txn -> S.P_omap.size m txn))
-
-let omap_range_sees_own_writes () =
-  let m = S.P_omap.make ~slots:8 ~index:(fun k -> k / 8) () in
-  Stm.atomically (fun txn ->
-      ignore (S.P_omap.put m txn 3 30);
-      ignore (S.P_omap.put m txn 7 70);
-      check
-        (Alcotest.list (Alcotest.pair ci ci))
-        "own pending writes visible to range" [ (3, 30); (7, 70) ]
-        (S.P_omap.range m txn ~lo:0 ~hi:10));
-  check cb "committed" true (S.P_omap.bindings m = [ (3, 30); (7, 70) ])
-
-let omap_abort strategy config () =
-  let m = S.P_omap.make ~slots:8 ~index:(fun k -> k / 8) ~strategy () in
-  let at f = Stm.atomically ?config f in
-  ignore (at (fun txn -> S.P_omap.put m txn 1 10));
-  let tries = ref 0 in
-  at (fun txn ->
-      incr tries;
-      if !tries = 1 then begin
-        ignore (S.P_omap.put m txn 1 99);
-        ignore (S.P_omap.put m txn 2 20);
-        ignore (Stm.restart txn)
-      end);
-  check cb "rolled back" true (S.P_omap.bindings m = [ (1, 10) ])
-
-let omap_concurrent_transfers () =
-  let m = S.P_omap.make ~slots:16 ~index:(fun k -> k / 4) () in
-  Stm.atomically (fun txn ->
-      for k = 0 to 31 do
-        ignore (S.P_omap.put m txn k 10)
-      done);
-  spawn_all 4 (fun d ->
-      let rng = Random.State.make [| d |] in
-      for _ = 1 to 150 do
-        let a = Random.State.int rng 32 and b = Random.State.int rng 32 in
-        if a <> b then
-          Stm.atomically (fun txn ->
-              let va = Option.get (S.P_omap.get m txn a) in
-              ignore (S.P_omap.put m txn a (va - 1));
-              let vb = Option.get (S.P_omap.get m txn b) in
-              ignore (S.P_omap.put m txn b (vb + 1)))
-      done);
-  let total =
-    Stm.atomically (fun txn ->
-        List.fold_left
-          (fun acc (_, v) -> acc + v)
-          0
-          (S.P_omap.range m txn ~lo:0 ~hi:31))
-  in
-  check ci "conserved (checked by a range scan)" 320 total
-
 (* A snapshot log's shadow must not hide a commit that was still
    replaying when the shadow was taken.  The schedule is forced with
    flags: the writer parks in a commit-locked hook registered before
@@ -583,37 +441,6 @@ let test_queue_model_and_ca () =
   | Some cex -> check cb "broken at empty" true (cex.V.Ca_check.state = [])
   | None -> Alcotest.fail "broken fifo should be rejected"
 
-let test_stack_model_and_ca () =
-  let st = V.Adt_model.small_stack () in
-  check cb "stack CA verified" true
-    (V.Ca_check.check st (V.Ca_spec.stack ()) = None);
-  (* pushes never commute: the model must agree *)
-  check cb "push/push non-commuting" false
-    (V.Commute.commutes st [] (V.Adt_model.StPush 0) (V.Adt_model.StPush 1))
-
-let test_omap_model_and_ca () =
-  let om = V.Adt_model.small_omap () in
-  check cb "band CA (M=2) verified" true
-    (V.Ca_check.check om (V.Ca_spec.omap_bands ~slots:2 ~index:(fun k -> k / 2) ())
-    = None);
-  check cb "band CA (M=4) verified" true
-    (V.Ca_check.check om (V.Ca_spec.omap_bands ~slots:4 ~index:Fun.id ()) = None);
-  (* a broken variant: ranges read only their low band *)
-  let broken =
-    let good = V.Ca_spec.omap_bands ~slots:4 ~index:Fun.id () in
-    {
-      good with
-      V.Ca_spec.name = "broken-omap";
-      reads =
-        (fun ~stripe s op ->
-          match op with
-          | V.Adt_model.ORange (lo, _) -> [ max 0 (min 3 lo) ]
-          | _ -> good.V.Ca_spec.reads ~stripe s op);
-    }
-  in
-  check cb "truncated range CA rejected" true
-    (V.Ca_check.check om broken <> None)
-
 let test_check_model_generalized () =
   let c = V.Adt_model.counter ~bound:5 in
   check cb "counter via SAT" true
@@ -702,8 +529,6 @@ let suite =
     test "deque basics" test_deque_basics;
     test "deque delete" test_deque_delete;
     slow "deque concurrent" test_deque_concurrent;
-    test "treiber basics" test_treiber;
-    slow "treiber concurrent" test_treiber_concurrent;
     qcheck "pqueue_fifo of_list/drain" QCheck2.Gen.(list small_int)
       prop_pqueue_fifo_order;
     qcheck "pqueue_fifo enqueue order" QCheck2.Gen.(list small_int)
@@ -720,34 +545,15 @@ let suite =
   ]
   @ fifo_tests
   @ [
-      test "stack semantics (pess)"
-        (stack_semantics S.Trait.Pessimistic None);
-      test "stack semantics (opt)"
-        (stack_semantics S.Trait.Optimistic (Some eager_struct_cfg));
-      test "stack abort unwinds" test_stack_abort_unwinds;
-      slow "stack concurrent" test_stack_concurrent;
-      test "omap semantics (lazy)" (omap_semantics Proust_core.Update_strategy.Lazy None);
-      test "omap semantics (eager)"
-        (omap_semantics Proust_core.Update_strategy.Eager (Some eager_struct_cfg));
-      test "omap range sees own writes" omap_range_sees_own_writes;
-      test "omap abort (lazy)" (omap_abort Proust_core.Update_strategy.Lazy None);
-      test "omap abort (eager)"
-        (omap_abort Proust_core.Update_strategy.Eager (Some eager_struct_cfg));
-      slow "omap concurrent transfers" omap_concurrent_transfers;
       test "lazy-snap shadow sees a commit that landed"
         (shadow_sees_landed_commit
            (S.P_lazy_triemap.ops (S.P_lazy_triemap.make ())));
-      test "omap shadow sees a commit that landed"
-        (shadow_sees_landed_commit
-           (S.P_omap.map_ops (S.P_omap.make ~index:Fun.id ())));
       test "undo combining restores" test_undo_combining_restores;
       slow "undo combining conserves" test_undo_combining_conserves;
       test "install combining fast path" test_install_combining_fast_path;
       slow "install combining fallback" test_install_combining_fallback;
       slow "install combining pqueue" test_install_combining_pqueue;
       test "queue model & CA" test_queue_model_and_ca;
-      test "stack model & CA" test_stack_model_and_ca;
-      test "omap model & CA" test_omap_model_and_ca;
       slow "generalized SAT check" test_check_model_generalized;
       test "synth: counter threshold" test_synth_counter;
       test "synth: repairs figure 3" test_synth_pqueue_repairs_figure3;

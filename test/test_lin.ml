@@ -126,20 +126,6 @@ let q_runner ~enq ~deq ~front op =
   | M.QDeq -> M.QVal (deq ())
   | M.QFront -> M.QVal (front ())
 
-let stack_runner ~push ~pop ~top op =
-  match op with
-  | M.StPush v ->
-      push v;
-      M.StUnit
-  | M.StPop -> M.StVal (pop ())
-  | M.StTop -> M.StVal (top ())
-
-let set_runner ~add ~remove ~mem op =
-  match op with
-  | M.SAdd v -> M.SBool (add v)
-  | M.SRemove v -> M.SBool (remove v)
-  | M.SMem v -> M.SBool (mem v)
-
 let omap_runner ~get ~put ~remove ~range op =
   match op with
   | M.OGet k -> M.OVal (get k)
@@ -198,16 +184,6 @@ let ctrie_inst =
       let t = C.Ctrie.create () in
       map_runner ~get:(C.Ctrie.get t) ~put:(C.Ctrie.put t)
         ~remove:(C.Ctrie.remove t))
-
-let skiplist_inst =
-  (* Point operations only: the skiplist's range/size are documented as
-     weakly consistent, so they are kept out of the checked history. *)
-  V.Lin_harness.instance "skiplist" ~model:(M.small_map ()) ~init:[]
-    ~partition:map_key (fun () ->
-      let t = C.Skiplist.create () in
-      map_runner ~get:(C.Skiplist.get t)
-        ~put:(C.Skiplist.put t)
-        ~remove:(C.Skiplist.remove t))
 
 let hamt_inst =
   V.Lin_harness.instance "hamt (cas-wrapped)" ~model:(M.small_map ())
@@ -298,14 +274,6 @@ let pheap_inst =
         ~min:(fun () -> c.view C.Pheap.find_min)
         ~contains:(fun v -> c.view (C.Pheap.mem ~cmp:icmp v)))
 
-let treiber_inst =
-  V.Lin_harness.instance "treiber" ~model:(M.small_stack ()) ~init:[]
-    (fun () ->
-      let t = C.Treiber.create () in
-      stack_runner ~push:(C.Treiber.push t)
-        ~pop:(fun () -> C.Treiber.pop t)
-        ~top:(fun () -> C.Treiber.peek t))
-
 let deque_inst =
   V.Lin_harness.instance "deque" ~model:(M.small_deque ()) ~init:[]
     (fun () ->
@@ -322,13 +290,6 @@ let deque_inst =
         | M.DPopBack -> M.DVal (C.Deque.pop_back t)
         | M.DPeekFront -> M.DVal (C.Deque.peek_front t)
         | M.DPeekBack -> M.DVal (C.Deque.peek_back t))
-
-let lf_list_inst =
-  V.Lin_harness.instance "lf_list" ~model:(M.small_set ()) ~init:[]
-    (fun () ->
-      let t = C.Lf_list.create ~compare:icmp () in
-      set_runner ~add:(C.Lf_list.add t) ~remove:(C.Lf_list.remove t)
-        ~mem:(C.Lf_list.contains t))
 
 let nn_counter_inst =
   V.Lin_harness.instance "nn_counter" ~model:(M.counter ~bound:4) ~init:0
@@ -452,7 +413,6 @@ let lin_cases =
   [
     case chashmap_inst ~ops:400;
     case ctrie_inst ~ops:400;
-    case skiplist_inst ~ops:300;
     case hamt_inst;
     case avl_inst;
     case cow_omap_inst ~ops:120;
@@ -461,9 +421,7 @@ let lin_cases =
     case cow_pqueue_inst;
     case blocking_pqueue_inst;
     case pheap_inst;
-    case treiber_inst;
     case deque_inst;
-    case lf_list_inst ~ops:250;
     case nn_counter_inst;
     case striped_counter_inst ~ops:300 ~post:[ ScRead ];
     case rw_lock_inst ~ops:60;
@@ -554,28 +512,6 @@ let counter_txn lap =
             M.CUnit
         | M.CDecr -> M.CBool (S.P_counter.decr t txn)
         | M.CGet -> M.CInt (S.P_counter.value t txn))
-
-let stack_txn lap =
-  V.Lin_harness.txn_instance "p_stack" ~model:(M.small_stack ()) ~init:[]
-    (fun () ->
-      let t = S.P_stack.make ~lap () in
-      fun txn op ->
-        match op with
-        | M.StPush v ->
-            S.P_stack.push t txn v;
-            M.StUnit
-        | M.StPop -> M.StVal (S.P_stack.pop t txn)
-        | M.StTop -> M.StVal (S.P_stack.top t txn))
-
-let set_txn lap =
-  V.Lin_harness.txn_instance "p_set" ~model:(M.small_set ()) ~init:[]
-    (fun () ->
-      let t = S.P_set.make ~lap ~compare:icmp () in
-      fun txn op ->
-        match op with
-        | M.SAdd v -> M.SBool (S.P_set.add t txn v)
-        | M.SRemove v -> M.SBool (S.P_set.remove t txn v)
-        | M.SMem v -> M.SBool (S.P_set.contains t txn v))
 
 let fifo_txn name make =
   V.Lin_harness.txn_instance name ~model:(M.small_queue ()) ~init:[]
@@ -896,42 +832,20 @@ let registry_ser_case (e : W.Registry.entry) =
 let ser_cases =
   List.map registry_ser_case (W.Registry.all ~slots:8 ())
   @ [
-    (* Structures without a registry trait (counter, stack, set,
-       ordered-map range queries) and lap variants the registry does
-       not carry stay hand-written. *)
+    (* Operations outside the registry traits (ordered-map range
+       queries) and lap variants the registry does not carry (the
+       pessimistic counter) stay hand-written. *)
     Ser { s_name = "p_counter"; instance = counter_txn pess; modes = all_modes };
-    Ser { s_name = "p_stack"; instance = stack_txn pess; modes = all_modes };
-    Ser { s_name = "p_set"; instance = set_txn pess; modes = all_modes };
     Ser
       {
-        s_name = "p_triemap pess";
+        s_name = "p_snap_omap ranges";
         instance =
-          map_txn "p_triemap pess" (fun () ->
-              S.P_triemap.ops (S.P_triemap.make ~lap:pess ()));
-        modes = all_modes;
-      };
-    Ser
-      {
-        s_name = "p_omap";
-        instance =
-          omap_txn "p_omap" (fun () ->
-              let t = S.P_omap.make ~slots:4 ~index:Fun.id () in
-              ( S.P_omap.get t,
-                S.P_omap.put t,
-                S.P_omap.remove t,
-                fun txn lo hi -> S.P_omap.range t txn ~lo ~hi ));
-        modes = all_modes;
-      };
-    Ser
-      {
-        s_name = "p_skipmap";
-        instance =
-          omap_txn "p_skipmap" (fun () ->
-              let t = S.P_skipmap.make ~slots:4 ~lap:pess ~index:Fun.id () in
-              ( S.P_skipmap.get t,
-                S.P_skipmap.put t,
-                S.P_skipmap.remove t,
-                fun txn lo hi -> S.P_skipmap.range t txn ~lo ~hi ));
+          omap_txn "p_snap_omap ranges" (fun () ->
+              let t = S.P_snap_omap.make () in
+              ( S.P_snap_omap.get t,
+                S.P_snap_omap.put t,
+                S.P_snap_omap.remove t,
+                fun txn lo hi -> S.P_snap_omap.range t txn ~lo ~hi ));
         modes = all_modes;
       };
     (* Blocking idioms on plain tvars: [retry] under [or_else]. *)

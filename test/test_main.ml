@@ -10,7 +10,6 @@ let () =
       ("workload", Test_workload.suite);
       ("integration", Test_integration.suite);
       ("extensions", Test_extensions.suite);
-      ("skiplist", Test_skiplist.suite);
       ("model-equiv", Test_model_equiv.suite);
       ("opacity", Test_opacity.suite);
       ("matrix", Test_matrix.suite);
@@ -25,4 +24,5 @@ let () =
       ("mvcc", Test_mvcc.suite);
       ("arrivals", Test_arrivals.suite);
       ("opensystem", Test_opensystem.suite);
+      ("registry", Test_registry.suite);
     ]

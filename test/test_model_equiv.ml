@@ -5,8 +5,8 @@
     return value must match a pure in-transaction model, and after each
     transaction the committed structure must coincide with the model
     state (aborted transactions must leave no trace) — for priority
-    queues, FIFO queues, stacks, and ordered maps in their various
-    design-space configurations. *)
+    queues and FIFO queues in their various design-space
+    configurations, and for the snapshot ordered map. *)
 
 open Util
 module S = Proust_structures
@@ -122,37 +122,6 @@ let fifo_equiv name ?config (make : unit -> int S.Trait.Queue.ops) =
         progs)
 
 (* ------------------------------------------------------------------ *)
-(* Stacks: model = top-first list                                       *)
-
-type st_step = StPush of int | StPop | StTop
-
-let st_step_gen =
-  QCheck2.Gen.(
-    oneof
-      [ map (fun v -> StPush v) (int_range 0 50); return StPop; return StTop ])
-
-let stack_equiv name ?config make =
-  qcheck ~count:50 (name ^ " matches list model") (prog_gen st_step_gen)
-    (fun progs ->
-      let st = make () in
-      run_programs ?config ~initial:[]
-        ~exec_step:(fun txn model step ->
-          match step with
-          | StPush v ->
-              S.P_stack.push st txn v;
-              (v :: model, true)
-          | StPop -> (
-              let got = S.P_stack.pop st txn in
-              match model with
-              | [] -> ([], got = None)
-              | x :: rest -> (rest, got = Some x))
-          | StTop ->
-              let want = match model with [] -> None | x :: _ -> Some x in
-              (model, S.P_stack.top st txn = want))
-        ~committed_equal:(fun model -> S.P_stack.to_list st = model)
-        progs)
-
-(* ------------------------------------------------------------------ *)
 (* Ordered maps: model = sorted association list                        *)
 
 type om_step = OmPut of int * int | OmRemove of int | OmGet of int | OmRange of int * int
@@ -171,52 +140,30 @@ let om_step_gen =
 
 module IntMap = Map.Make (Int)
 
-let omap_equiv name ?config make =
+let omap_equiv name make =
   qcheck ~count:50 (name ^ " matches Map model") (prog_gen om_step_gen)
     (fun progs ->
       let om = make () in
-      run_programs ?config ~initial:IntMap.empty
+      run_programs ~initial:IntMap.empty
         ~exec_step:(fun txn model step ->
           match step with
           | OmPut (k, v) ->
-              let got = S.P_omap.put om txn k v in
+              let got = S.P_snap_omap.put om txn k v in
               (IntMap.add k v model, got = IntMap.find_opt k model)
           | OmRemove k ->
-              let got = S.P_omap.remove om txn k in
-              (IntMap.remove k model, got = IntMap.find_opt k model)
-          | OmGet k -> (model, S.P_omap.get om txn k = IntMap.find_opt k model)
-          | OmRange (lo, hi) ->
-              let want =
-                IntMap.bindings model
-                |> List.filter (fun (k, _) -> k >= lo && k <= hi)
-              in
-              (model, S.P_omap.range om txn ~lo ~hi = want))
-        ~committed_equal:(fun model -> S.P_omap.bindings om = IntMap.bindings model)
-        progs)
-
-let skipmap_equiv name ?config make =
-  qcheck ~count:50 (name ^ " matches Map model") (prog_gen om_step_gen)
-    (fun progs ->
-      let om = make () in
-      run_programs ?config ~initial:IntMap.empty
-        ~exec_step:(fun txn model step ->
-          match step with
-          | OmPut (k, v) ->
-              let got = S.P_skipmap.put om txn k v in
-              (IntMap.add k v model, got = IntMap.find_opt k model)
-          | OmRemove k ->
-              let got = S.P_skipmap.remove om txn k in
+              let got = S.P_snap_omap.remove om txn k in
               (IntMap.remove k model, got = IntMap.find_opt k model)
           | OmGet k ->
-              (model, S.P_skipmap.get om txn k = IntMap.find_opt k model)
+              (model, S.P_snap_omap.get om txn k = IntMap.find_opt k model)
           | OmRange (lo, hi) ->
               let want =
                 IntMap.bindings model
                 |> List.filter (fun (k, _) -> k >= lo && k <= hi)
               in
-              (model, S.P_skipmap.range om txn ~lo ~hi = want))
+              (model, S.P_snap_omap.range om txn ~lo ~hi = want))
         ~committed_equal:(fun model ->
-          S.P_skipmap.bindings om = IntMap.bindings model)
+          Stm.atomically (fun txn -> S.P_snap_omap.bindings om txn)
+          = IntMap.bindings model)
         progs)
 
 let suite =
@@ -234,19 +181,5 @@ let suite =
     fifo_equiv "fifo-eager-opt" ~config:eager_struct_cfg (fun () ->
         S.P_fifo.ops (S.P_fifo.make ()));
     fifo_equiv "fifo-lazy-opt" (fun () -> S.P_lazy_fifo.ops (S.P_lazy_fifo.make ()));
-    stack_equiv "stack-eager-pess" (fun () ->
-        S.P_stack.make ~lap:S.Trait.Pessimistic ());
-    stack_equiv "stack-eager-opt" ~config:eager_struct_cfg (fun () ->
-        S.P_stack.make ());
-    omap_equiv "omap-lazy" (fun () ->
-        S.P_omap.make ~slots:8 ~index:(fun k -> k / 4) ());
-    omap_equiv "omap-eager" ~config:eager_struct_cfg (fun () ->
-        S.P_omap.make ~slots:8 ~index:(fun k -> k / 4)
-          ~strategy:Proust_core.Update_strategy.Eager ());
-    omap_equiv "omap-lazy-pess" (fun () ->
-        S.P_omap.make ~slots:8 ~index:(fun k -> k / 4)
-          ~lap:S.Trait.Pessimistic ());
-    skipmap_equiv "skipmap-pess" (fun () ->
-        S.P_skipmap.make ~slots:8 ~index:(fun k -> k / 4)
-          ~lap:S.Trait.Pessimistic ());
+    omap_equiv "omap-snap" (fun () -> S.P_snap_omap.make ());
   ]

@@ -1,8 +1,7 @@
 (* The open-system robustness machinery: shard gates and the hot-key
-   decorator, the striped counter escape hatch, snapshot range scans on
-   the single-root ordered map, the open runner's accounting contract,
-   brownout-protected tenant isolation end to end, and the adaptive
-   combine linger.
+   decorator, snapshot range scans on the single-root ordered map, the
+   open runner's accounting contract, brownout-protected tenant
+   isolation end to end, and the adaptive combine linger.
 
    Runs are sized for a single-core CI box: tiny arrival rates, short
    windows, and ordering/accounting assertions rather than latency
@@ -72,33 +71,6 @@ let test_hot_gate_releases () =
   check copt_i "aborted put left nothing" (Some 21)
     (Stm.atomically ~config:eager_struct_cfg (fun txn ->
          ops.S.Trait.Map.get txn 2))
-
-(* -- Striped counter -------------------------------------------------- *)
-
-let test_striped_counter_semantics () =
-  let c = S.P_striped_counter.make ~stripes:4 () in
-  check ci "stripes" 4 (S.P_striped_counter.stripes c);
-  Stm.atomically (fun txn ->
-      for _ = 1 to 10 do
-        S.P_striped_counter.incr c txn
-      done);
-  check ci "ten increments" 10 (S.P_striped_counter.peek c);
-  let succeeded = ref 0 in
-  Stm.atomically (fun txn ->
-      while S.P_striped_counter.decr c txn do
-        incr succeeded
-      done);
-  check ci "decr drained exactly the count" 10 !succeeded;
-  check ci "empty after drain" 0 (S.P_striped_counter.peek c);
-  check cb "decr at zero refuses" false
-    (Stm.atomically (fun txn -> S.P_striped_counter.decr c txn));
-  (* Concurrent increments from distinct domains spread over stripes
-     and all land. *)
-  spawn_all 4 (fun _ ->
-      for _ = 1 to 250 do
-        Stm.atomically (fun txn -> S.P_striped_counter.incr c txn)
-      done);
-  check ci "1000 concurrent increments" 1_000 (S.P_striped_counter.peek c)
 
 (* -- Snapshot ordered map: RO range scans ----------------------------- *)
 
@@ -404,8 +376,6 @@ let suite =
     test "shard gate: acquire/bypass/heat accounting" test_shard_gate_basics;
     test "hot-gate decorator releases on commit and abort"
       test_hot_gate_releases;
-    test "striped counter semantics and concurrency"
-      test_striped_counter_semantics;
     test "snapshot omap range scans" test_snap_omap_range;
     slow "RO scans stay consistent and abort-free under writers"
       test_snap_omap_ro_scan_under_writers;

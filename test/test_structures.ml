@@ -11,16 +11,9 @@ let maps_under_test :
     ( "eager-opt",
       Some eager_struct_cfg,
       fun () -> S.P_hashmap.ops (S.P_hashmap.make ()) );
-    ( "eager-opt-trie",
-      Some eager_struct_cfg,
-      fun () -> S.P_triemap.ops (S.P_triemap.make ()) );
     ( "eager-pess",
       None,
       fun () -> S.P_hashmap.ops (S.P_hashmap.make ~lap:S.Trait.Pessimistic ())
-    );
-    ( "eager-pess-trie",
-      None,
-      fun () -> S.P_triemap.ops (S.P_triemap.make ~lap:S.Trait.Pessimistic ())
     );
     ("lazy-memo", None, fun () -> S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ()));
     ( "lazy-memo-nocombine",
@@ -313,41 +306,6 @@ let per_pqueue_tests =
       ])
     pqueues_under_test
 
-(* ------------------------------------------------------------------ *)
-(* Set                                                                  *)
-
-let set_semantics lap config () =
-  let s = S.P_set.make ~lap () in
-  let at f = Stm.atomically ?config f in
-  check cb "add fresh" true (at (fun txn -> S.P_set.add s txn 5));
-  check cb "add dup" false (at (fun txn -> S.P_set.add s txn 5));
-  check cb "contains" true (at (fun txn -> S.P_set.contains s txn 5));
-  check ci "size" 1 (at (fun txn -> S.P_set.size s txn));
-  check cb "remove" true (at (fun txn -> S.P_set.remove s txn 5));
-  check cb "remove absent" false (at (fun txn -> S.P_set.remove s txn 5));
-  check clist_i "empty" [] (S.P_set.to_list s)
-
-let test_set_abort_rollback () =
-  let s = S.P_set.make ~lap:S.Trait.Pessimistic () in
-  ignore (Stm.atomically (fun txn -> S.P_set.add s txn 1));
-  let tries = ref 0 in
-  Stm.atomically (fun txn ->
-      incr tries;
-      if !tries = 1 then begin
-        ignore (S.P_set.add s txn 2);
-        ignore (S.P_set.remove s txn 1);
-        ignore (Stm.restart txn)
-      end);
-  check clist_i "rolled back" [ 1 ] (S.P_set.to_list s)
-
-let test_set_concurrent () =
-  let s = S.P_set.make ~lap:S.Trait.Pessimistic () in
-  spawn_all 4 (fun d ->
-      for i = 0 to 249 do
-        ignore (Stm.atomically (fun txn -> S.P_set.add s txn ((i * 4) + d)))
-      done);
-  check ci "all added" 1_000 (List.length (S.P_set.to_list s))
-
 let suite =
   per_map_tests @ per_pqueue_tests
   @ [
@@ -365,10 +323,4 @@ let suite =
       slow "counter stress (optimistic)"
         (counter_stress S.Trait.Optimistic (Some eager_struct_cfg));
       test "counter observable band" test_counter_observable;
-      test "set semantics (pessimistic)"
-        (set_semantics S.Trait.Pessimistic None);
-      test "set semantics (optimistic)"
-        (set_semantics S.Trait.Optimistic (Some eager_struct_cfg));
-      test "set abort rollback" test_set_abort_rollback;
-      slow "set concurrent" test_set_concurrent;
     ]

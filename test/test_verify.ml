@@ -290,7 +290,6 @@ let test_derive_all_models () =
   certify (V.Adt_model.small_map ());
   certify (V.Adt_model.small_pqueue ());
   certify (V.Adt_model.small_queue ());
-  certify (V.Adt_model.small_stack ());
   certify (V.Adt_model.small_omap ())
 
 let test_derive_is_not_trivial () =

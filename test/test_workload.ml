@@ -1,8 +1,9 @@
-(** Tests for the benchmark substrate: workload generation and the
-    throughput runner. *)
+(** Tests for the benchmark substrate: workload generation, the
+    implementation registry and the throughput runner. *)
 
 open Util
 module W = Proust_workload
+module T = Proust_structures.Trait
 
 let spec ~u ~o =
   { W.Workload.key_range = 64; write_fraction = u; ops_per_txn = o; total_ops = 1_000 }
@@ -109,6 +110,32 @@ let test_report_renders () =
   check cb "csv header" true (String.length header > 0);
   check cb "csv row mentions impl" true (String.length row > 4)
 
+(* Each registry key names one entry, and [find] builds an entry that
+   carries the key as its name and as the meta name of the ops it
+   builds, so metrics scopes and trace labels match the key. *)
+let test_registry_names () =
+  let names = W.Registry.names () in
+  check ci "keys unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun k ->
+      match W.Registry.find k with
+      | None -> Alcotest.failf "find %S: no entry" k
+      | Some e ->
+          check cs "entry name" k e.W.Registry.name;
+          check cs (k ^ ": entry meta name") k e.W.Registry.meta.T.name;
+          let built =
+            match e.W.Registry.target with
+            | W.Registry.Map make -> (make ()).T.Map.meta
+            | W.Registry.Queue make -> (make ()).T.Queue.meta
+            | W.Registry.Pqueue make -> (make ()).T.Pqueue.meta
+            | W.Registry.Counter make -> (make ()).T.Counter.meta
+          in
+          check cs (k ^ ": built ops' meta name") k built.T.name)
+    names;
+  check cb "unknown key" true
+    (Option.is_none (W.Registry.find "no-such-entry"))
+
 let suite =
   [
     test "stream deterministic" test_stream_deterministic;
@@ -117,6 +144,7 @@ let suite =
     test "keys in range" test_keys_in_range;
     test "txn count" test_txn_count;
     test "timed window" test_timed_window;
+    test "registry keys name their entries" test_registry_names;
     slow "runner end to end" test_runner_end_to_end;
     slow "report renders" test_report_renders;
   ]

@@ -1,17 +1,26 @@
 #!/usr/bin/env sh
 # Module census gate.  DESIGN.md's "Module census" table must have one
-# row per lib/*/*.ml naming what the module serves; this fails when a
-# module has no row, or when a row names a file that does not exist.
-# Runs from any directory inside the repo; exits nonzero listing the
-# offending paths.
+# row per lib/*/*.ml naming what the module serves, with verdict
+# `keep`; this fails when a module has no row, when a row names a file
+# that does not exist, or when a row's verdict is anything but `keep`
+# (a module that serves no claim is deleted, not listed).  Runs from
+# any directory inside the repo; exits nonzero listing the offending
+# paths.
 set -eu
 cd "$(dirname "$0")/.."
 
-rows=$(awk '
+table=$(awk '
   /^## Module census/ { on = 1; next }
   on && /^## / { exit }
-  on && /^\| `lib\/[^`]*\.ml` \|/ { split($0, f, "`"); print f[2] }
+  on && /^\| `lib\/[^`]*\.ml` \|/ {
+    split($0, f, "`")
+    n = split($0, c, "|")
+    v = c[n - 1]
+    gsub(/^ +| +$/, "", v)
+    print f[2], v
+  }
 ' DESIGN.md | sort)
+rows=$(printf '%s\n' "$table" | cut -d' ' -f1)
 
 if [ -z "$rows" ]; then
   echo "no Module census table in DESIGN.md"
@@ -31,6 +40,14 @@ for f in $rows; do
     fail=1
   fi
 done
+not_kept=$(printf '%s\n' "$table" | awk '{
+  f = $1; sub(/^[^ ]+ /, "")
+  if ($0 != "keep") print "census row is not keep: " f " (" $0 ")"
+}')
+if [ -n "$not_kept" ]; then
+  echo "$not_kept"
+  fail=1
+fi
 dups=$(printf '%s\n' "$rows" | uniq -d)
 if [ -n "$dups" ]; then
   echo "duplicate census rows: $dups"
