@@ -1,4 +1,4 @@
-(** Snapshot ordered map: the whole persistent AVL
+(** Snapshot ordered map: the whole persistent B+-tree
     ({!Proust_concurrent.Cow_omap.Snapshot}) behind a single tvar.
     Point ops functionally update the root; [range] reads the root
     once, so a scan of any width costs one read-set entry and is
@@ -17,7 +17,7 @@ module Om = Proust_concurrent.Cow_omap
 type ('k, 'v) t = { root : ('k, 'v) Om.snapshot Tvar.t }
 
 let make ?compare () =
-  { root = Tvar.make (Om.snapshot (Om.create ?compare ())) }
+  { root = Tvar.make (Om.empty ?compare ()) }
 
 let get t txn k = Om.Snapshot.find (Stm.read txn t.root) k
 let contains t txn k = Om.Snapshot.find (Stm.read txn t.root) k <> None

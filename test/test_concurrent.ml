@@ -434,11 +434,11 @@ let test_absent_remove_keeps_root () =
   let before = C.Ctrie.snapshot c in
   check copt_i "ctrie absent" None (C.Ctrie.remove c 2);
   check cb "ctrie root unchanged" true (C.Ctrie.snapshot c == before);
-  let m = C.Cow_omap.create () in
-  ignore (C.Cow_omap.put m 1 1);
-  let before = C.Cow_omap.snapshot m in
-  check copt_i "omap absent" None (C.Cow_omap.remove m 2);
-  check cb "omap root unchanged" true (C.Cow_omap.snapshot m == before)
+  let m = Atomic.make (fst (C.Cow_omap.Snapshot.add (C.Cow_omap.empty ()) 1 1)) in
+  let before = Atomic.get m in
+  check copt_i "omap absent" None
+    (C.Root.update m (fun s -> C.Cow_omap.Snapshot.remove s 2));
+  check cb "omap root unchanged" true (Atomic.get m == before)
 
 (* ------------------------------------------------------------------ *)
 (* Pheap                                                                *)

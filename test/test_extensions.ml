@@ -1,5 +1,5 @@
 (** Tests for the extension round: new base structures (deque,
-    persistent/COW queues, AVL/COW ordered map), the Proustian FIFO
+    persistent/COW queues, B+-tree COW ordered map), the Proustian FIFO
     wrappers, the §9 future-work optimisations (undo combining,
     snapshot-replay root-CAS combining), the generalized SAT encoding
     and the CEGIS synthesizer. *)
@@ -92,82 +92,142 @@ let test_cow_queue_concurrent () =
   check ci "conserved" 2_000 (Atomic.get popped + C.Cow_queue.size q)
 
 (* ------------------------------------------------------------------ *)
-(* AVL / COW ordered map                                                *)
+(* COW ordered map (persistent B+-tree)                                 *)
 
 module IntMap = Map.Make (Int)
+module O = C.Cow_omap.Snapshot
 
-let avl_ops_gen =
+let omap_keys = 4_000
+
+(* A fill phase of puts over [omap_keys] keys, past the 1,024 bindings
+   two levels of fanout 32 can hold, then a remove-heavy mixed phase
+   that drains most of it again, so leaves and internal nodes both
+   borrow and merge, and the root collapses. *)
+let omap_ops_gen =
   QCheck2.Gen.(
-    list
-      (pair (int_range 0 100)
-         (oneof [ return `Remove; map (fun v -> `Put v) (int_range 0 999) ])))
+    let key = int_range 0 (omap_keys - 1) in
+    let put = map2 (fun k v -> (k, `Put v)) key (int_range 0 999) in
+    let mixed = frequency [ (1, put); (3, map (fun k -> (k, `Remove)) key) ] in
+    pair (list_size (int_range 1_500 3_000) put) (list_size (int_range 0 6_000) mixed))
 
-let apply_avl ops =
+let apply_omap (s, m) ops =
   List.fold_left
-    (fun (t, m) (k, op) ->
+    (fun (s, m) (k, op) ->
       match op with
-      | `Put v -> (fst (C.Avl.add ~compare:Int.compare k v t), IntMap.add k v m)
-      | `Remove ->
-          (fst (C.Avl.remove ~compare:Int.compare k t), IntMap.remove k m))
-    (C.Avl.empty, IntMap.empty) ops
+      | `Put v -> (fst (O.add s k v), IntMap.add k v m)
+      | `Remove -> (fst (O.remove s k), IntMap.remove k m))
+    (s, m) ops
 
-let prop_avl_model ops =
-  let t, m = apply_avl ops in
-  C.Avl.bindings t = IntMap.bindings m
-  && C.Avl.cardinal t = IntMap.cardinal m
-  && IntMap.for_all (fun k v -> C.Avl.find ~compare:Int.compare k t = Some v) m
+let omap_of (fill, mixed) =
+  let filled = apply_omap (C.Cow_omap.empty ~compare:Int.compare (), IntMap.empty) fill in
+  (fst filled, apply_omap filled mixed)
 
-let prop_avl_balanced ops =
-  let t, _ = apply_avl ops in
-  C.Avl.well_formed ~compare:Int.compare t
+let prop_omap_model ops =
+  let _, (s, m) = omap_of ops in
+  O.bindings s = IntMap.bindings m
+  && O.size s = IntMap.cardinal m
+  && IntMap.for_all (fun k v -> O.find s k = Some v) m
+  && List.for_all (fun k -> IntMap.mem k m || O.find s k = None) [ -1; 0; 17; omap_keys ]
 
-(* Bounds cover lo > hi, lo = hi and keys outside the 0..100 key set. *)
-let avl_range_gen =
+let prop_omap_well_formed ops =
+  let filled, (s, _) = omap_of ops in
+  O.depth filled >= 3 && O.well_formed filled && O.well_formed s
+
+(* Bounds cover lo > hi, lo = hi and keys outside the key set. *)
+let omap_range_gen =
   QCheck2.Gen.(
-    let bound = int_range (-10) 110 in
-    pair avl_ops_gen (oneof [ pair bound bound; map (fun k -> (k, k)) bound ]))
+    let bound = int_range (-10) (omap_keys + 10) in
+    pair omap_ops_gen (oneof [ pair bound bound; map (fun k -> (k, k)) bound ]))
 
-let prop_avl_range (ops, (lo, hi)) =
-  let t, m = apply_avl ops in
-  C.Avl.range ~compare:Int.compare ~lo ~hi t
+let prop_omap_range (ops, (lo, hi)) =
+  let _, (s, m) = omap_of ops in
+  O.range s ~lo ~hi
   = (IntMap.bindings m |> List.filter (fun (k, _) -> k >= lo && k <= hi))
 
-let test_avl_min_max () =
-  let t, _ = apply_avl [ (5, `Put 50); (1, `Put 10); (9, `Put 90) ] in
-  check (Alcotest.option (Alcotest.pair ci ci)) "min" (Some (1, 10))
-    (C.Avl.min_binding t);
-  check (Alcotest.option (Alcotest.pair ci ci)) "max" (Some (9, 90))
-    (C.Avl.max_binding t);
-  check cb "empty min" true (C.Avl.min_binding C.Avl.empty = None)
+let test_omap_min_max () =
+  let binding = Alcotest.(option (pair int int)) in
+  let s = C.Cow_omap.empty () in
+  check binding "empty min" None (O.min_binding s);
+  check binding "empty max" None (O.max_binding s);
+  let s = List.fold_left (fun s k -> fst (O.add s k (10 * k))) s [ 5; 1; 9 ] in
+  check binding "min" (Some (1, 10)) (O.min_binding s);
+  check binding "max" (Some (9, 90)) (O.max_binding s);
+  let s = ref s in
+  for k = 10 to 2_000 do
+    s := fst (O.add !s k k)
+  done;
+  s := fst (O.remove !s 1);
+  s := fst (O.remove !s 2_000);
+  check binding "min past a removal, deep tree" (Some (5, 50)) (O.min_binding !s);
+  check binding "max past a removal, deep tree" (Some (1_999, 1_999)) (O.max_binding !s)
+
+(* Deterministic grow-then-drain: 100k keys in a scrambled order, then
+   all but 5,000 removed in another, with the invariants checked along
+   the way.  The snapshot taken when full must survive the drain. *)
+let test_omap_grow_drain () =
+  let n = 100_000 in
+  let s = ref (C.Cow_omap.empty ~compare:Int.compare ()) in
+  let wf what = check cb (what ^ " well formed") true (O.well_formed !s) in
+  for i = 0 to n - 1 do
+    s := fst (O.add !s (i * 7_919 mod n) i);
+    if i mod 10_000 = 0 then wf (Printf.sprintf "after %d adds" i)
+  done;
+  wf "full";
+  let full = !s in
+  check ci "full size" n (O.size full);
+  check cb "full depth >= 4" true (O.depth full >= 4);
+  let kept k = k mod 20 = 0 in
+  for i = 0 to n - 1 do
+    let k = i * 104_729 mod n in
+    if not (kept k) then begin
+      let s', old = O.remove !s k in
+      if old = None then Alcotest.failf "key %d missing at removal %d" k i;
+      s := s'
+    end;
+    if i mod 5_000 = 0 then wf (Printf.sprintf "after %d removal steps" i)
+  done;
+  wf "drained";
+  check ci "drained size" (n / 20) (O.size !s);
+  check cb "drained depth shrank" true (O.depth !s < O.depth full);
+  check cb "drained bindings" true
+    (List.map fst (O.bindings !s) = List.filter kept (List.init n Fun.id));
+  check cb "full snapshot untouched" true (O.well_formed full && O.size full = n);
+  check copt_i "full snapshot keeps a removed key" (Some 1) (O.find full 7_919)
 
 let test_cow_omap () =
-  let m = C.Cow_omap.create () in
-  check copt_i "put" None (C.Cow_omap.put m 5 50);
-  ignore (C.Cow_omap.put m 1 10);
-  ignore (C.Cow_omap.put m 9 90);
-  let snap = C.Cow_omap.snapshot m in
-  check copt_i "get" (Some 50) (C.Cow_omap.get m 5);
+  let s = C.Cow_omap.empty () in
+  let s, old = O.add s 5 50 in
+  check copt_i "put" None old;
+  let s = fst (O.add (fst (O.add s 1 10)) 9 90) in
+  let snap = s in
+  check copt_i "get" (Some 50) (O.find s 5);
   check
     (Alcotest.list (Alcotest.pair ci ci))
     "range" [ (1, 10); (5, 50) ]
-    (C.Cow_omap.range m ~lo:0 ~hi:5);
-  check copt_i "remove" (Some 10) (C.Cow_omap.remove m 1);
-  check ci "snapshot keeps removed" 3 (C.Cow_omap.Snapshot.size snap);
-  check ci "live size" 2 (C.Cow_omap.size m);
-  check cb "min binding moved" true (C.Cow_omap.min_binding m = Some (5, 50))
+    (O.range s ~lo:0 ~hi:5);
+  let s, old = O.remove s 1 in
+  check copt_i "remove" (Some 10) old;
+  check ci "snapshot keeps removed" 3 (O.size snap);
+  check ci "live size" 2 (O.size s);
+  check cb "min binding moved" true (O.min_binding s = Some (5, 50))
 
+(* The map made concurrent by [Root.update] over an atomic root. *)
 let test_cow_omap_concurrent () =
-  let m = C.Cow_omap.create () in
+  let root = Atomic.make (C.Cow_omap.empty ()) in
   spawn_all 4 (fun d ->
       for i = 0 to 499 do
-        ignore (C.Cow_omap.put m ((i * 4) + d) i)
+        ignore (C.Root.update root (fun s -> O.add s ((i * 4) + d) i))
       done);
-  check ci "all in" 2_000 (C.Cow_omap.size m);
-  check ci "range count" 100
-    (List.length (C.Cow_omap.range m ~lo:0 ~hi:99))
+  let s = Atomic.get root in
+  check ci "all in" 2_000 (O.size s);
+  check cb "well formed" true (O.well_formed s);
+  check ci "range count" 100 (List.length (O.range s ~lo:0 ~hi:99))
 
-(* A range read compares keys only along its two boundary paths, so its
-   comparison count does not grow with the width of the range. *)
+(* A range read searches for each bound only along its own root-to-leaf
+   path and emits the children between the paths whole, so its
+   comparison count is bounded by the depth and fanout, not the width:
+   at most two binary searches per level, each over at most [fanout]
+   entries. *)
 let test_cow_omap_range_comparisons () =
   let n = 100_000 in
   let calls = ref 0 in
@@ -175,31 +235,22 @@ let test_cow_omap_range_comparisons () =
     incr calls;
     Int.compare a b
   in
-  let m = C.Cow_omap.create ~compare () in
-  let tree = ref C.Avl.empty in
+  let s = ref (C.Cow_omap.empty ~compare ()) in
   for k = 0 to n - 1 do
-    ignore (C.Cow_omap.put m k k);
-    tree := fst (C.Avl.add ~compare:Int.compare k k !tree)
+    s := fst (O.add !s k k)
   done;
-  (* Same insertion sequence into the same AVL, so the same shape. *)
-  let height = C.Avl.height !tree in
-  let bound = min (2 * height) 40 in
+  let rec log2_ceil x = if x <= 1 then 0 else 1 + log2_ceil ((x + 1) / 2) in
+  let bound = 2 * O.depth !s * log2_ceil (C.Cow_omap.fanout + 1) in
   List.iter
     (fun (lo, hi) ->
       let width = min hi (n - 1) - lo + 1 in
-      List.iter
-        (fun (name, range) ->
-          calls := 0;
-          let r = range ~lo ~hi in
-          let name = Printf.sprintf "%s [%d, %d]" name lo hi in
-          check ci (name ^ " width") width (List.length r);
-          check cb
-            (Printf.sprintf "%s: %d comparisons <= %d" name !calls bound)
-            true (!calls <= bound))
-        [
-          ("range", C.Cow_omap.range m);
-          ("snapshot range", C.Cow_omap.Snapshot.range (C.Cow_omap.snapshot m));
-        ])
+      calls := 0;
+      let r = O.range !s ~lo ~hi in
+      let name = Printf.sprintf "range [%d, %d]" lo hi in
+      check ci (name ^ " width") width (List.length r);
+      check cb
+        (Printf.sprintf "%s: %d comparisons <= %d" name !calls bound)
+        true (!calls <= bound))
     [ (50_000, 50_063); (30_000, 34_095); (n - 32, n + 31) ]
 
 (* ------------------------------------------------------------------ *)
@@ -535,10 +586,11 @@ let suite =
       prop_pqueue_fifo_enqueue;
     test "cow queue" test_cow_queue;
     slow "cow queue concurrent" test_cow_queue_concurrent;
-    qcheck "avl matches Map" avl_ops_gen prop_avl_model;
-    qcheck "avl balanced" avl_ops_gen prop_avl_balanced;
-    qcheck "avl range" avl_range_gen prop_avl_range;
-    test "avl min/max" test_avl_min_max;
+    qcheck ~count:50 "cow omap matches Map" omap_ops_gen prop_omap_model;
+    qcheck ~count:50 "cow omap well formed" omap_ops_gen prop_omap_well_formed;
+    qcheck ~count:50 "cow omap range" omap_range_gen prop_omap_range;
+    test "cow omap min/max" test_omap_min_max;
+    test "cow omap grow and drain" test_omap_grow_drain;
     test "cow omap" test_cow_omap;
     slow "cow omap concurrent" test_cow_omap_concurrent;
     test "cow omap range comparisons" test_cow_omap_range_comparisons;

@@ -133,10 +133,10 @@ let omap_runner ~get ~put ~remove ~range op =
   | M.ORemove k -> M.OVal (remove k)
   | M.ORange (lo, hi) -> M.OList (range lo hi)
 
-(* Root cell turning a persistent core (Avl, Hamt, Pheap, Pqueue_fifo)
-   into a linearizable lock-free concurrent structure through the same
-   [Root.update] that Cow_omap/Ctrie/Cow_pqueue use, so these instances
-   check the shipped retry loop. *)
+(* Root cell turning a persistent core (Cow_omap, Hamt, Pheap,
+   Pqueue_fifo) into a linearizable lock-free concurrent structure
+   through the same [Root.update] that Ctrie/Cow_pqueue use, so these
+   instances check the shipped retry loop. *)
 type 'st cas = {
   update : 'r. ('st -> 'st * 'r) -> 'r;
   view : 'r. ('st -> 'r) -> 'r;
@@ -195,24 +195,18 @@ let hamt_inst =
         ~put:(fun k v -> c.update (C.Hamt.add ~hash ~equal k v))
         ~remove:(fun k -> c.update (C.Hamt.remove ~hash ~equal k)))
 
-let avl_inst =
-  V.Lin_harness.instance "avl (cas-wrapped)" ~model:(M.small_map ())
-    ~init:[] ~partition:map_key (fun () ->
-      let c = cas_cell C.Avl.empty in
-      map_runner
-        ~get:(fun k -> c.view (C.Avl.find ~compare:icmp k))
-        ~put:(fun k v -> c.update (C.Avl.add ~compare:icmp k v))
-        ~remove:(fun k -> c.update (C.Avl.remove ~compare:icmp k)))
-
 let cow_omap_inst =
-  V.Lin_harness.instance "cow_omap"
+  V.Lin_harness.instance "cow_omap (cas-wrapped)"
     ~model:(M.small_omap ~values:[ 0; 1 ] ())
     ~init:[]
     (fun () ->
-      let t = C.Cow_omap.create ~compare:icmp () in
-      omap_runner ~get:(C.Cow_omap.get t) ~put:(C.Cow_omap.put t)
-        ~remove:(C.Cow_omap.remove t)
-        ~range:(fun lo hi -> C.Cow_omap.range t ~lo ~hi))
+      let c = cas_cell (C.Cow_omap.empty ~compare:icmp ()) in
+      let module O = C.Cow_omap.Snapshot in
+      omap_runner
+        ~get:(fun k -> c.view (fun s -> O.find s k))
+        ~put:(fun k v -> c.update (fun s -> O.add s k v))
+        ~remove:(fun k -> c.update (fun s -> O.remove s k))
+        ~range:(fun lo hi -> c.view (O.range ~lo ~hi)))
 
 let cow_queue_inst =
   V.Lin_harness.instance "cow_queue" ~model:(M.small_queue ()) ~init:[]
@@ -414,7 +408,6 @@ let lin_cases =
     case chashmap_inst ~ops:400;
     case ctrie_inst ~ops:400;
     case hamt_inst;
-    case avl_inst;
     case cow_omap_inst ~ops:120;
     case cow_queue_inst;
     case pqueue_fifo_inst ~ops:fifo_ops;

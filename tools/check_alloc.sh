@@ -24,7 +24,13 @@
 #                                           installs the shadow with one
 #                                           root CAS, so a cell that
 #                                           replays each put onto the
-#                                           root again reads ~1.7x.
+#                                           root again reads ~1.7x;
+#   omap-snap multi-version t=1 u=1 o=16  the snapshot ordered map: one
+#                                           B+-tree path copy per put
+#                                           (a leaf's value array and
+#                                           each level's child array)
+#                                           and the root tvar's version
+#                                           chain.
 #
 # The cells are single-threaded on purpose: no contention means no
 # aborts, so words-per-commit is a deterministic property of the code
