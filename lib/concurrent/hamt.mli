@@ -5,16 +5,20 @@
     operations are pure; updates share structure with the original,
     which is what makes Ctrie snapshots O(1).
 
-    Layout: an interior node is a 32-bit occupancy bitmap and a dense
-    child array, indexed by a constant-time popcount of the bitmap
-    below the slot.  A single binding is one 3-word leaf block (header,
-    key, value) that stores no hash: the key is rehashed only when an
-    insert must split the leaf or bucket it.  Only two or more keys
-    with the same full hash share a bucket (hash and association
-    list).  At 100,000 int bindings a trie reaches 5.6 words per
-    binding, the leaf plus its share of the nodes above it.  The shape
-    is canonical: [remove] lifts a leaf or bucket left alone in its
-    node into the parent's slot, so churn leaves no deep paths.
+    Layout (CHAMP, Steindorfer and Vinju, OOPSLA 2015): every node is
+    one array, two 32-bit bitmaps followed by its bindings inline as
+    key/value pairs and then its sub-nodes, each found by a
+    constant-time popcount of its bitmap below the slot.  A binding
+    costs its two slots and stores no hash: the key is rehashed only
+    when a second key lands on its chunk and the two move down into a
+    sub-node.  Only two or more keys with the same full hash share a
+    collision node (the hash and a linear-scan run of pairs).  At
+    100,000 int bindings a trie reaches 3.3 words per binding, the
+    pair plus its share of the node headers, bitmaps and child slots,
+    and a lookup reads one block per level.  The shape is canonical:
+    [remove] lifts a sub-node left with one binding, or with a
+    collision node as its only entry, into the parent's slot, so churn
+    leaves no deep paths.
 
     The hash and equality functions are supplied per call so that one
     node type serves any key type; {!Ctrie} fixes them once. *)
@@ -47,8 +51,10 @@ val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 val bindings : ('k, 'v) t -> ('k * 'v) list
 
-(** Structural invariants for property tests: bitmap arity matches the
-    child array, no empty subtrees, buckets hold at least two bindings
-    of one hash, no node has a lone leaf or bucket child, and entries
-    sit on the path their hash dictates. *)
+(** Structural invariants for property tests: the root is a bitmap
+    node; each node's two bitmaps are disjoint and its length is 2 + 2
+    per binding + 1 per sub-node; no sub-node holds one binding and no
+    children, or nothing, or only a collision node; a collision node
+    holds two or more bindings of one full hash; and every entry sits
+    on the path its hash dictates. *)
 val well_formed : hash:('k -> int) -> ('k, 'v) t -> bool

@@ -62,8 +62,9 @@ let full_schedule ~seed ~prob =
 (* Commutative workload: every domain walks a seeded stream of keys and
    increments each.  The final map contents are therefore a pure
    function of the streams — the sequential model — regardless of the
-   interleaving or of any injected fault. *)
-let soak_cell ~cfg ~make ~domains ~iters ~keys () =
+   interleaving or of any injected fault.  [cell] ("<point> under
+   <mode>") names the failing cell in each check message. *)
+let soak_cell ~cell ~cfg ~make ~domains ~iters ~keys () =
   let ops = make () in
   let streams =
     Array.init domains (fun d ->
@@ -92,7 +93,9 @@ let soak_cell ~cfg ~make ~domains ~iters ~keys () =
   Stm.descriptor_pool_check ();
   Array.iteri
     (fun k want ->
-      check ci (Printf.sprintf "key %d matches sequential model" k) want
+      check ci
+        (Printf.sprintf "%s: key %d matches sequential model" cell k)
+        want
         final.(k))
     expected
 
@@ -110,9 +113,9 @@ let test_chaos_soak () =
           List.iteri
             (fun j mode ->
               full_schedule ~seed:(sub_seed (0xbad + (16 * i) + j)) ~prob:0.2;
-              ignore name;
-              soak_cell ~cfg:(chaos_cfg mode) ~make ~domains:4 ~iters:300
-                ~keys:16 ())
+              soak_cell
+                ~cell:(Printf.sprintf "%s under %s" name (Stm.mode_name mode))
+                ~cfg:(chaos_cfg mode) ~make ~domains:4 ~iters:300 ~keys:16 ())
             modes)
         points);
   let injected = (Stats.diff before (Stats.read ())).Stats.injected_faults in

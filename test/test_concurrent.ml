@@ -245,21 +245,59 @@ let low_entropy_hashes =
     ("(k land 1) lsl 25", fun k -> (k land 1) lsl 25);
   ]
 
-(* White-box view of a trie.  Mirrors the constructors of [Hamt.t], in
-   order, so a trie can be inspected and malformed ones built. *)
+(* White-box view of a trie.  A [Hamt] node is one [Obj.t array],
+   [| datamap; nodemap; k0; v0; ...; child(n-1); ...; child0 |], or
+   [| -1; hash; k0; v0; ... |] for a collision node.  [Node] lists its
+   bindings in datamap order and its children in nodemap order. *)
 type ('k, 'v) shape =
-  | Empty
-  | Leaf of 'k * 'v
-  | Bucket of int * ('k * 'v) list
-  | Node of int * ('k, 'v) shape array
+  | Node of int * int * ('k * 'v) list * ('k, 'v) shape list
+  | Collision of int * ('k * 'v) list
 
-let shape (t : ('k, 'v) C.Hamt.t) : ('k, 'v) shape = Obj.magic t
-let of_shape (s : ('k, 'v) shape) : ('k, 'v) C.Hamt.t = Obj.magic s
+let popcount m =
+  let rec go m n = if m = 0 then n else go (m land (m - 1)) (n + 1) in
+  go m 0
 
+let rec shape_of_array (a : Obj.t array) =
+  let n = Array.length a in
+  let m : int = Obj.obj a.(0) and m1 : int = Obj.obj a.(1) in
+  let pairs stop =
+    List.init ((stop - 2) / 2) (fun p ->
+        (Obj.obj a.(2 + (2 * p)), Obj.obj a.(3 + (2 * p))))
+  in
+  if m < 0 then Collision (m1, pairs n)
+  else
+    let stop = 2 + (2 * popcount m) in
+    Node
+      ( m,
+        m1,
+        pairs stop,
+        List.init (n - stop) (fun c -> shape_of_array (Obj.obj a.(n - 1 - c)))
+      )
+
+let shape (t : ('k, 'v) C.Hamt.t) : ('k, 'v) shape =
+  shape_of_array (Obj.magic t)
+
+(* Lays the shape out literally, whatever its bitmaps say, so malformed
+   tries can be built.  [Array.of_list] makes the array from its head,
+   the int in slot 0, so it is never a flat float array. *)
+let rec array_of_shape s : Obj.t array =
+  let flat = List.concat_map (fun (k, v) -> [ Obj.repr k; Obj.repr v ]) in
+  match s with
+  | Node (dmap, nmap, kvs, children) ->
+      Array.of_list
+        ((Obj.repr dmap :: Obj.repr nmap :: flat kvs)
+        @ List.rev_map (fun c -> Obj.repr (array_of_shape c)) children)
+  | Collision (h, kvs) ->
+      Array.of_list (Obj.repr (-1) :: Obj.repr h :: flat kvs)
+
+let of_shape (s : ('k, 'v) shape) : ('k, 'v) C.Hamt.t =
+  Obj.magic (array_of_shape s)
+
+(* Node levels on the deepest path; a collision node counts none. *)
 let rec depth = function
-  | Empty | Leaf _ | Bucket _ -> 0
-  | Node (_, children) ->
-      1 + Array.fold_left (fun d c -> max d (depth c)) 0 children
+  | Collision _ -> 0
+  | Node (_, _, _, children) ->
+      1 + List.fold_left (fun d c -> max d (depth c)) 0 children
 
 let hamt_of ~hash keys =
   List.fold_left
@@ -275,30 +313,39 @@ let test_hamt_shape_transitions () =
     check cb (name ^ ": well-formed") true (C.Hamt.well_formed ~hash h)
   in
   let h = add 0 C.Hamt.empty in
-  is_shape "one binding is a leaf"
-    (function Leaf (0, 0) -> true | _ -> false)
+  is_shape "one binding sits inline in the root"
+    (function Node (0b1, 0, [ (0, 0) ], []) -> true | _ -> false)
     h;
   let h = add 4 h in
-  is_shape "leaf -> bucket"
-    (function Bucket (0, kvs) -> List.length kvs = 2 | _ -> false)
+  is_shape "binding -> collision node"
+    (function
+      | Node (0, 0b1, [], [ Collision (0, kvs) ]) -> List.length kvs = 2
+      | _ -> false)
     h;
   let h = add 1 h in
-  is_shape "bucket split"
-    (function Node (0b11, [| Bucket _; Leaf (1, 1) |]) -> true | _ -> false)
+  is_shape "inline binding beside a collision node"
+    (function
+      | Node (0b10, 0b1, [ (1, 1) ], [ Collision _ ]) -> true | _ -> false)
     h;
   let h = add 5 h in
-  is_shape "leaf -> bucket under a node"
-    (function Node (0b11, [| Bucket _; Bucket _ |]) -> true | _ -> false)
+  is_shape "binding -> collision node beside another"
+    (function
+      | Node (0, 0b11, [], [ Collision (0, _); Collision (1, _) ]) -> true
+      | _ -> false)
     h;
   let h = remove 5 h in
-  is_shape "bucket -> leaf"
-    (function Node (0b11, [| Bucket _; Leaf (1, 1) |]) -> true | _ -> false)
+  is_shape "collision node -> inline binding"
+    (function
+      | Node (0b10, 0b1, [ (1, 1) ], [ Collision _ ]) -> true | _ -> false)
     h;
   let h = remove 4 (remove 1 h) in
-  is_shape "collapsed to a leaf" (function Leaf (0, 0) -> true | _ -> false) h;
+  is_shape "collapsed to one root binding"
+    (function Node (0b1, 0, [ (0, 0) ], []) -> true | _ -> false)
+    h;
   let h = add 2 h in
-  is_shape "leaf split"
-    (function Node (0b101, [| Leaf (0, 0); Leaf (2, 2) |]) -> true | _ -> false)
+  is_shape "two root bindings"
+    (function
+      | Node (0b101, 0, [ (0, 0); (2, 2) ], []) -> true | _ -> false)
     h;
   (* Two hashes that first differ in the sixth chunk. *)
   let hash k = (k land 1) lsl 25 in
@@ -306,23 +353,49 @@ let test_hamt_shape_transitions () =
   check ci "split at the last level" 6 (depth (shape h));
   check cb "deep split well-formed" true (C.Hamt.well_formed ~hash h);
   let h = fst (C.Hamt.remove ~hash ~equal 1 h) in
-  check cb "deep chain collapses to a leaf" true
-    (match shape h with Leaf (0, 0) -> true | _ -> false)
+  check cb "deep chain collapses to one root binding" true
+    (match shape h with Node (0b1, 0, [ (0, 0) ], []) -> true | _ -> false);
+  (* A collision node split from a binding five levels down rises back
+     to the root's slot when the binding leaves. *)
+  let h = hamt_of ~hash [ 0; 2; 1 ] in
+  check ci "collision split at the last level" 6 (depth (shape h));
+  check cb "collision split well-formed" true (C.Hamt.well_formed ~hash h);
+  let h = fst (C.Hamt.remove ~hash ~equal 1 h) in
+  check cb "collision node lifted to the root's slot" true
+    (match shape h with
+    | Node (0, 0b1, [], [ Collision (0, _) ]) -> true
+    | _ -> false);
+  check cb "lifted trie well-formed" true (C.Hamt.well_formed ~hash h)
 
+(* One malformed trie per invariant of [Hamt.well_formed]; each breaks
+   only that invariant. *)
 let test_hamt_well_formed_rejects () =
   let hash k = k land 3 in
   let rejects name s =
     check cb name false (C.Hamt.well_formed ~hash (of_shape s))
   in
-  rejects "bucket of one binding" (Bucket (0, [ (0, 0) ]));
-  rejects "empty bucket" (Bucket (0, []));
-  rejects "bucket off its hash" (Bucket (0, [ (0, 0); (1, 1) ]));
-  rejects "node with a lone leaf" (Node (0b1, [| Leaf (0, 0) |]));
-  rejects "node with a lone bucket"
-    (Node (0b1, [| Bucket (0, [ (0, 0); (4, 4) ]) |]));
-  rejects "empty child" (Node (0b11, [| Leaf (0, 0); Empty |]));
-  rejects "leaf off its path" (Node (0b11, [| Leaf (1, 1); Leaf (0, 0) |]));
-  check cb "empty trie" true (C.Hamt.well_formed ~hash C.Hamt.empty)
+  let coll = Collision (0, [ (4, 4); (8, 8) ]) in
+  rejects "datamap and nodemap overlap"
+    (Node (0b11, 0b01, [ (0, 0); (1, 1) ], [ coll ]));
+  rejects "length disagrees with the bitmaps"
+    (Node (0b11, 0, [ (0, 0) ], []));
+  rejects "sub-node with one binding and no children"
+    (Node (0, 0b1, [], [ Node (0b1, 0, [ (0, 0) ], []) ]));
+  rejects "empty sub-node"
+    (Node (0b10, 0b1, [ (1, 1) ], [ Node (0, 0, [], []) ]));
+  rejects "sub-node holding only a collision node"
+    (Node (0, 0b1, [], [ Node (0, 0b1, [], [ coll ]) ]));
+  rejects "collision node of one binding"
+    (Node (0, 0b1, [], [ Collision (0, [ (0, 0) ]) ]));
+  rejects "collision node off its hash"
+    (Node (0b10, 0b1, [ (1, 1) ], [ Collision (0, [ (0, 0); (5, 5) ]) ]));
+  rejects "binding off its path" (Node (0b11, 0, [ (1, 1); (0, 0) ], []));
+  rejects "collision node off its path"
+    (Node (0b1, 0b10, [ (0, 0) ], [ coll ]));
+  rejects "collision node at the root" (Collision (0, [ (0, 0); (4, 4) ]));
+  check cb "empty trie" true (C.Hamt.well_formed ~hash C.Hamt.empty);
+  check cb "the root may hold one binding" true
+    (C.Hamt.well_formed ~hash (of_shape (Node (0b1, 0, [ (0, 0) ], []))))
 
 let test_hamt_remove_canonical () =
   let hash = Hashtbl.hash and equal = Int.equal in
@@ -333,17 +406,68 @@ let test_hamt_remove_canonical () =
       h
       (List.init 999 (fun i -> i + 1))
   in
-  check cb "a single leaf" true
-    (match shape h with Leaf (0, 0) -> true | _ -> false);
+  check cb "one root binding" true
+    (match shape h with Node (_, 0, [ (0, 0) ], []) -> true | _ -> false);
   check cb "well-formed" true (C.Hamt.well_formed ~hash h)
 
-(* One 3-word leaf per binding plus the shared nodes above it. *)
+(* Bindings inline in one array per node: about 3.3 words per binding
+   (key, value and a share of the node headers, bitmaps and child
+   slots). *)
 let test_hamt_footprint () =
   let n = 100_000 in
   let h = hamt_of ~hash:Hashtbl.hash (List.init n Fun.id) in
   let per_binding = float (Obj.reachable_words (Obj.repr h)) /. float n in
-  if per_binding > 6.0 then
-    Alcotest.failf "%.2f reachable words per binding, expected <= 6" per_binding
+  if per_binding > 3.6 then
+    Alcotest.failf "%.2f reachable words per binding, expected <= 3.6"
+      per_binding
+
+(* Float keys and values are boxed inside the nodes; a node array made
+   from a float initializer would be a flat float array instead. *)
+module FloatMap = Map.Make (Float)
+
+let hamt_float_ops_gen =
+  QCheck2.Gen.(
+    list
+      (pair
+         (map (fun i -> Stdlib.float i /. 4.) (int_range 0 200))
+         (oneof
+            [
+              return `Remove;
+              map (fun v -> `Put (Stdlib.float v +. 0.5)) (int_range 0 1000);
+            ])))
+
+(* Every node array reachable from [a]; a flat float array is not
+   descended into. *)
+let rec node_arrays (a : Obj.t) =
+  if Obj.tag a = Obj.double_array_tag then [ a ]
+  else
+    let arr : Obj.t array = Obj.obj a in
+    let m : int = Obj.obj arr.(0) in
+    let stop = if m < 0 then Array.length arr else 2 + (2 * popcount m) in
+    a
+    :: List.concat_map
+         (fun c -> node_arrays arr.(stop + c))
+         (List.init (Array.length arr - stop) Fun.id)
+
+let prop_hamt_floats ~hash ops =
+  let equal = Float.equal in
+  let h, m =
+    List.fold_left
+      (fun (h, m) (k, op) ->
+        match op with
+        | `Put v -> (fst (C.Hamt.add ~hash ~equal k v h), FloatMap.add k v m)
+        | `Remove ->
+            (fst (C.Hamt.remove ~hash ~equal k h), FloatMap.remove k m))
+      (C.Hamt.empty, FloatMap.empty)
+      ops
+  in
+  FloatMap.for_all (fun k v -> C.Hamt.find ~hash ~equal k h = Some v) m
+  && C.Hamt.cardinal h = FloatMap.cardinal m
+  && C.Hamt.fold (fun k v ok -> ok && FloatMap.find_opt k m = Some v) h true
+  && C.Hamt.well_formed ~hash h
+  && List.for_all
+       (fun a -> Obj.tag a <> Obj.double_array_tag)
+       (node_arrays (Obj.repr h))
 
 let test_hamt_collisions () =
   (* Same hash for every key forces collision buckets. *)
@@ -583,6 +707,9 @@ let suite =
             (prop_hamt_model ~hash);
           qcheck ("hamt well-formed, hash " ^ name) hamt_ops_gen
             (prop_hamt_well_formed ~hash);
+          qcheck ("hamt float keys and values, hash " ^ name)
+            hamt_float_ops_gen
+            (prop_hamt_floats ~hash:(fun k -> hash (Hashtbl.hash k)));
         ])
       low_entropy_hashes
   @ [
