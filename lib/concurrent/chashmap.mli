@@ -5,7 +5,19 @@
     counter and is only quiescently consistent, exactly like the Java
     original.  No snapshot support — which is precisely why the lazy
     Proustian wrapper over this structure must use memoized shadow
-    copies rather than snapshots (§4). *)
+    copies rather than snapshots (§4).
+
+    Layout: each stripe is one mutex over one flat open-addressed
+    array, keys and values inline in adjacent slots.  A key's stripe is
+    the top bits of a Fibonacci mix of [Hashtbl.hash k] and its home
+    slot the hash's low bits; probing is linear with Robin Hood
+    inserts, [remove] shifts the rest of the probe run back so no
+    tombstones are left, and a stripe doubles before it passes 4/5
+    full and halves when a removal leaves it under 1/4 full.  A
+    binding costs its two slots and its share of the free ones: at
+    100,000 int bindings about 2.6 words, where a [Hashtbl] bucket
+    array plus one chain cell per binding spent 4.7.  Keys are equal
+    when [compare] says so, as in Stdlib [Hashtbl]. *)
 
 type ('k, 'v) t
 
@@ -42,6 +54,7 @@ val clear : ('k, 'v) t -> unit
 (** Point-in-time-per-stripe association list (tests/debugging). *)
 val bindings : ('k, 'v) t -> ('k * 'v) list
 
-(** Longest bucket chain over all stripes' tables, each read under its
-    stripe's lock (diagnostics: how well keys spread). *)
-val max_bucket_length : ('k, 'v) t -> int
+(** Longest distance of a binding from its home slot over all stripes,
+    each read under its stripe's lock (diagnostics: how well keys
+    spread). *)
+val max_probe_length : ('k, 'v) t -> int

@@ -175,24 +175,194 @@ let test_chashmap_concurrent () =
       done);
   check ci "all removed" 0 (C.Chashmap.size m)
 
-(* A stripe's [Hashtbl] picks buckets from the low bits of
-   [Hashtbl.hash k]; a stripe chosen by those same bits would crowd its
-   keys into one bucket in 32.  Chains must stay within twice those of
-   one unstriped table holding the same keys. *)
-let test_chashmap_bucket_spread () =
+(* A stripe takes a key's home slot from the low bits of
+   [Hashtbl.hash k]; a stripe chosen by those same bits would leave its
+   keys only one home slot in 32, and Robin Hood runs would then push
+   some keys 24 slots from home at 1,024 keys and 44 at 100,000 (the
+   Fibonacci mix: 6 and 21). *)
+let test_chashmap_probe_spread () =
+  List.iter
+    (fun (n, bound) ->
+      let m = C.Chashmap.create () in
+      for k = 0 to n - 1 do
+        ignore (C.Chashmap.put m k ())
+      done;
+      let longest = C.Chashmap.max_probe_length m in
+      if longest > bound then
+        Alcotest.failf "%d keys: longest probe %d, expected <= %d" n longest
+          bound)
+    [ (1_024, 16); (100_000, 32) ]
+
+(* Bindings inline in one flat array per stripe, grown past 4/5 load:
+   about 2.7 and 2.6 words per binding at 50k and 100k keys, where a
+   [Hashtbl] stripe spent 4.7. *)
+let test_chashmap_footprint () =
   List.iter
     (fun n ->
-      let m = C.Chashmap.create () and unstriped = Hashtbl.create 16 in
+      let m = C.Chashmap.create () in
       for k = 0 to n - 1 do
-        ignore (C.Chashmap.put m k ());
-        Hashtbl.replace unstriped k ()
+        ignore (C.Chashmap.put m k k)
       done;
-      let reference = (Hashtbl.stats unstriped).max_bucket_length in
-      let longest = C.Chashmap.max_bucket_length m in
-      if longest > 2 * reference then
-        Alcotest.failf "%d keys: longest chain %d, unstriped table's %d" n
-          longest reference)
-    [ 1_024; 100_000 ]
+      let per_binding = float (Obj.reachable_words (Obj.repr m)) /. float n in
+      if per_binding > 3.0 then
+        Alcotest.failf "%d keys: %.2f words per binding, expected <= 3.0" n
+          per_binding)
+    [ 50_000; 100_000 ]
+
+(* White-box view of a [Chashmap.t] (see chashmap.ml): field 0 is the
+   stripe array, and a stripe is [{ m; slots; used; count }], [slots]
+   the flat [| k0; v0; k1; v1; ... |] array and [used] its occupied
+   slots.  The empty-slot sentinel is read out of a fresh map. *)
+let chashmap_stripes m =
+  let stripe s : Obj.t * int = (Obj.field s 1, Obj.obj (Obj.field s 2)) in
+  Array.to_list (Array.map stripe (Obj.obj (Obj.field (Obj.repr m) 0)))
+
+let chashmap_empty_slot =
+  match chashmap_stripes (C.Chashmap.create ~stripes:1 ()) with
+  | [ (slots, _) ] -> Obj.field slots 0
+  | _ -> assert false
+
+(* Each stripe array is not a flat float array, holds 2 x a power of
+   two slots, counts its occupied slots in [used], is at most 4/5 full
+   and at least 1/4 full unless at its initial 32 slots, and empties
+   both halves of a free slot.  Every key is reachable from its home slot
+   without crossing an empty slot, and runs are Robin Hood ordered: a
+   slot's distance from home is at most one more than its
+   predecessor's. *)
+let chashmap_well_formed m =
+  List.for_all
+    (fun (slots, used) ->
+      let cap = Obj.size slots / 2 in
+      let mask = cap - 1 in
+      let key i = Obj.field slots (2 * i) in
+      let free i = key i == chashmap_empty_slot in
+      let dist i = (i - Hashtbl.hash (key i)) land mask in
+      let reachable i =
+        List.for_all (fun d -> not (free ((i - d) land mask)))
+          (List.init (dist i) succ)
+      in
+      let all = List.init cap Fun.id in
+      let occupied = List.filter (fun i -> not (free i)) all in
+      Obj.tag slots <> Obj.double_array_tag
+      && cap > 0
+      && cap land mask = 0
+      && List.length occupied = used
+      && 5 * used <= 4 * cap
+      && (cap = 32 || 4 * used >= cap)
+      && List.for_all
+           (fun i -> Obj.field slots ((2 * i) + 1) == chashmap_empty_slot)
+           (List.filter free all)
+      && List.for_all
+           (fun i ->
+             reachable i
+             && (dist i = 0 || dist i <= dist ((i - 1) land mask) + 1))
+           occupied)
+    (chashmap_stripes m)
+
+(* Keys whose hashes all end in 0b11111xx: at capacities 32 to 128
+   every one of them is homed in the last four slots, so probe runs wrap
+   past the array's end and removals shift entries back across the
+   wrap; 96 of them take one stripe through two grows (32 to 128
+   slots) and back. *)
+let wrapping_keys =
+  Seq.ints 0
+  |> Seq.filter (fun k -> Hashtbl.hash k land 127 >= 124)
+  |> Seq.take 96 |> Array.of_seq
+
+type 'v chm_op =
+  | Put of 'v
+  | Put_if_absent of 'v
+  | Remove
+  | Get
+  | Compute_bump
+  | Compute_drop_even
+  | Clear
+
+(* A put-heavy run that grows a stripe, then a remove-heavy run that
+   shrinks it again. *)
+let chm_ops_gen key value =
+  let phase ~puts ~removes =
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (pair key
+           (frequency
+              [
+                (2 * puts, map (fun v -> Put v) value);
+                (puts, map (fun v -> Put_if_absent v) value);
+                (puts, return Compute_bump);
+                (removes, return Remove);
+                (removes, return Compute_drop_even);
+                (20, return Get);
+                (1, return Clear);
+              ])))
+  in
+  QCheck2.Gen.map2 ( @ ) (phase ~puts:20 ~removes:10) (phase ~puts:5 ~removes:40)
+
+(* Runs [ops] on a map and on a Stdlib [Hashtbl] model, checking each
+   result, the bindings and size at the end, and [chashmap_well_formed]
+   after every op.  [bump] and [even] fix [compute]'s callbacks for the
+   value type. *)
+let prop_chashmap_model ~stripes ~bump ~even ops =
+  let m = C.Chashmap.create ~stripes () and model = Hashtbl.create 16 in
+  let step (k, op) =
+    let old = Hashtbl.find_opt model k in
+    let set = function
+      | Some v -> Hashtbl.replace model k v
+      | None -> Hashtbl.remove model k
+    in
+    let ok =
+      match op with
+      | Put v ->
+          set (Some v);
+          C.Chashmap.put m k v = old
+      | Put_if_absent v ->
+          if old = None then set (Some v);
+          C.Chashmap.put_if_absent m k v = old
+      | Remove ->
+          set None;
+          C.Chashmap.remove m k = old
+      | Get ->
+          C.Chashmap.get m k = old && C.Chashmap.contains m k = (old <> None)
+      | Compute_bump ->
+          let f o = Some (bump o) in
+          set (f old);
+          C.Chashmap.compute m k f = old
+      | Compute_drop_even ->
+          let f = function Some v when even v -> None | o -> o in
+          set (f old);
+          C.Chashmap.compute m k f = old
+      | Clear ->
+          Hashtbl.reset model;
+          C.Chashmap.clear m;
+          true
+    in
+    ok && chashmap_well_formed m
+  in
+  List.for_all step ops
+  && C.Chashmap.size m = Hashtbl.length model
+  && List.sort compare (C.Chashmap.bindings m)
+     = List.sort compare (List.of_seq (Hashtbl.to_seq model))
+
+let chm_int_gen key =
+  chm_ops_gen key QCheck2.Gen.(int_range 0 1000)
+
+let prop_chashmap_ints ~stripes =
+  prop_chashmap_model ~stripes
+    ~bump:(function Some v -> v + 1 | None -> 0)
+    ~even:(fun v -> v land 1 = 0)
+
+(* Float keys and values are boxed in the slots; a stripe array made
+   from a float initializer would be a flat float array, which
+   [chashmap_well_formed] rejects. *)
+let chm_float_gen =
+  chm_ops_gen
+    QCheck2.Gen.(map (fun i -> Stdlib.float i /. 4.) (int_range 0 200))
+    QCheck2.Gen.(map (fun v -> Stdlib.float v +. 0.5) (int_range 0 1000))
+
+let prop_chashmap_floats =
+  prop_chashmap_model ~stripes:1
+    ~bump:(function Some v -> v +. 1. | None -> 0.5)
+    ~even:(fun v -> Float.rem v 2. < 1.)
 
 let test_chashmap_raise_unlocks () =
   let m = C.Chashmap.create () in
@@ -689,7 +859,15 @@ let suite =
     test "chashmap compute" test_chashmap_compute;
     test "chashmap fold/clear" test_chashmap_fold_clear;
     slow "chashmap concurrent" test_chashmap_concurrent;
-    test "chashmap bucket spread" test_chashmap_bucket_spread;
+    test "chashmap probe spread" test_chashmap_probe_spread;
+    test "chashmap footprint per binding" test_chashmap_footprint;
+    qcheck "chashmap matches Hashtbl model, wrapping runs"
+      (chm_int_gen QCheck2.Gen.(oneofa wrapping_keys))
+      (prop_chashmap_ints ~stripes:1);
+    qcheck "chashmap matches Hashtbl model, 32 stripes"
+      (chm_int_gen QCheck2.Gen.(int_range 0 300))
+      (prop_chashmap_ints ~stripes:32);
+    qcheck "chashmap float keys and values" chm_float_gen prop_chashmap_floats;
     test "chashmap unlocks when compute raises" test_chashmap_raise_unlocks;
     qcheck "hamt matches Map model" hamt_ops_gen prop_hamt_model;
     qcheck "hamt well-formed" hamt_ops_gen prop_hamt_well_formed;
