@@ -1,12 +1,11 @@
-(* Benchmark harness: regenerates the paper's fixed evaluation grids
-   and this reproduction's feature studies (see DESIGN.md's
-   per-experiment index).  Arbitrary registry sweeps -- impl x threads
-   x u x o x mode x contention manager x slots -- belong to
-   bin/proust_bench.
+(* Benchmark harness: this reproduction's feature studies and the
+   figures that are not registry grids (see DESIGN.md's per-experiment
+   index).  Registry sweeps -- FIG4 and its ablations: impl x threads x
+   u x o x mode x contention manager x slots x keys x key distribution
+   -- are bin/proust_bench command lines (EXPERIMENTS.md "Recipes").
 
-     main.exe [fig1|fig4|micro|ablation-zipf|ablation-combine|mvcc|
-               structures|compose|overload|opensystem|durability|
-               combining|obs-overhead|all]
+     main.exe [fig1|micro|mvcc|compose|overload|opensystem|durability|
+               combining|obs-overhead]
               [--json FILE] [--trace FILE]
 
    --json writes every measured cell as a "proust-bench/v1" report
@@ -50,16 +49,6 @@ let threads_list =
   env_int_list "PROUST_THREADS" (if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ])
 
 let trials = env_int "PROUST_TRIALS" 2
-let u_list = if quick then [ 0.0; 1.0 ] else [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
-let o_list = if quick then [ 1; 16 ] else [ 1; 2; 16; 256 ]
-
-let spec ~u ~o =
-  {
-    W.Workload.key_range = 1024;
-    write_fraction = u;
-    ops_per_txn = o;
-    total_ops;
-  }
 
 (* --json FILE / --trace FILE may appear anywhere after the command. *)
 let flag_val name =
@@ -74,12 +63,6 @@ let json_file = flag_val "--json"
 let trace_file = flag_val "--trace"
 let cells : Obs.Json.t list ref = ref []
 
-(* Every measured cell flows through here: printed as a table row and,
-   under --json, retained for the report written at exit. *)
-let record ~name (r : W.Runner.result) =
-  W.Report.row ~name r;
-  if json_file <> None then cells := W.Report.json_cell ~name r :: !cells
-
 (* Set by a failed gate; main exits 1 after the reports are written,
    so the failing cells stay inspectable. *)
 let gate_failed = ref false
@@ -90,10 +73,6 @@ let gate ok fmt =
       Printf.printf "%s: %s\n%!" (if ok then "PASS" else "FAIL") msg;
       if not ok then gate_failed := true)
     fmt
-
-let run_cell (e : W.Registry.entry) ~u ~o ~threads =
-  let r = W.Runner.run_entry ~trials ~warmup:1 ~threads ~spec:(spec ~u ~o) e in
-  record ~name:e.W.Registry.name r
 
 (* ------------------------------------------------------------------ *)
 
@@ -114,30 +93,6 @@ let fig1 () =
       print_endline "counter conflict abstraction: verified (SAT, Appendix E)"
   | V.Ca_encode.Counterexample { description; _ } ->
       print_endline ("counter SAT check FAILED: " ^ description)
-
-let fig4 () =
-  W.Report.section
-    (Printf.sprintf
-       "FIG4: map throughput, %d ops, key range 1024 (paper: 1M ops, 40 vCPUs)"
-       total_ops);
-  W.Report.header ();
-  let impls = W.Registry.maps () in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun o ->
-          List.iter
-            (fun threads ->
-              List.iter
-                (fun (impl : W.Registry.entry) ->
-                  (* §7: pessimistic runs only at o = 1 (livelock under
-                     long transactions). *)
-                  if (not impl.W.Registry.meta.S.Trait.pessimistic) || o = 1
-                  then run_cell impl ~u ~o ~threads)
-                impls)
-            threads_list)
-        o_list)
-    u_list
 
 (* ------------------------------------------------------------------ *)
 (* MVCC: read-mostly throughput, Multi_version snapshots vs the TL2
@@ -321,102 +276,6 @@ let mvcc_bench () =
             (pct *. 100.0) t ratio)
         widths)
     (List.filter (fun p -> p >= 0.9) read_pcts)
-
-let ablation_zipf () =
-  W.Report.section
-    "ABL-ZIPF: hot-key skew (Zipf 0.99) vs uniform keys, u=0.5 o=16";
-  W.Report.header ();
-  let entries =
-    [
-      ("stm-map", fun () -> B.Stm_hashmap.ops (B.Stm_hashmap.make ()));
-      ("predication", fun () -> B.Predication_map.ops (B.Predication_map.make ()));
-      ("lazy-memo", fun () -> S.P_lazy_hashmap.ops (S.P_lazy_hashmap.make ()));
-    ]
-  in
-  List.iter
-    (fun (dist_name, dist) ->
-      List.iter
-        (fun (name, make) ->
-          List.iter
-            (fun threads ->
-              let label = Printf.sprintf "%s/%s" name dist_name in
-              let r =
-                W.Runner.run ~dist ~label ~trials ~warmup:1 ~threads
-                  ~spec:(spec ~u:0.5 ~o:16) make
-              in
-              record ~name:label r)
-            (List.filter (fun t -> t > 1) threads_list))
-        entries)
-    [ ("uniform", W.Workload.Uniform); ("zipf99", W.Workload.Zipf 0.99) ]
-
-let ablation_combine () =
-  W.Report.section
-    "ABL-COMBINE: S9 log-combining extensions (undo logs, snapshot \
-     replays); small key range to force aborts";
-  W.Report.header ();
-  let entries =
-    [
-      ( "eager/undo-per-op",
-        Some (W.Registry.eager_mode ()),
-        fun () -> S.P_hashmap.ops (S.P_hashmap.make ~combine_undo:false ()) );
-      ( "eager/undo-combined",
-        Some (W.Registry.eager_mode ()),
-        fun () -> S.P_hashmap.ops (S.P_hashmap.make ~combine_undo:true ()) );
-      ( "lazy-snap",
-        None,
-        fun () -> S.P_lazy_triemap.ops (S.P_lazy_triemap.make ()) );
-    ]
-  in
-  List.iter
-    (fun (name, config, make) ->
-      List.iter
-        (fun threads ->
-          let sp = { (spec ~u:0.75 ~o:64) with W.Workload.key_range = 128 } in
-          let r =
-            W.Runner.run ?config ~label:name ~trials ~warmup:1 ~threads
-              ~spec:sp make
-          in
-          record ~name r)
-        (List.filter (fun t -> t > 1) threads_list))
-    entries
-
-let structures_bench () =
-  W.Report.section "STRUCT-BENCH: fifo wrappers";
-  Printf.printf "%-22s %4s %10s %12s %9s %9s\n" "impl" "t" "mean(ms)" "ops/s"
-    "commits" "aborts";
-  Printf.printf "%s\n" (String.make 72 '-');
-  let total = max 1_000 (total_ops / 2) in
-  let bench : type q.
-      string -> (unit -> q) -> (q -> Stm.txn -> int -> unit) -> unit =
-   fun name make_q step ->
-    List.iter
-      (fun threads ->
-        let q = make_q () in
-        let per = total / threads in
-        let before = Stats.read () in
-        let dt =
-          1000.0
-          *. W.Runner.timed threads (fun _ () ->
-                 for j = 1 to per do
-                   Stm.atomically (fun txn -> step q txn j)
-                 done)
-        in
-        let st = Stats.diff before (Stats.read ()) in
-        Printf.printf "%-22s %4d %10.2f %12.0f %9d %9d\n%!" name threads dt
-          (float_of_int total /. dt *. 1000.0)
-          st.Stats.commits st.Stats.aborts)
-      threads_list
-  in
-  bench "fifo-eager-pess"
-    (fun () -> S.P_fifo.make ~lap:S.Trait.Pessimistic ())
-    (fun q txn j ->
-      if j land 1 = 0 then S.P_fifo.enqueue q txn j
-      else ignore (S.P_fifo.dequeue q txn));
-  bench "fifo-lazy-opt"
-    (fun () -> S.P_lazy_fifo.make ())
-    (fun q txn j ->
-      if j land 1 = 0 then S.P_lazy_fifo.enqueue q txn j
-      else ignore (S.P_lazy_fifo.dequeue q txn))
 
 let compose_bench () =
   W.Report.section
@@ -1259,9 +1118,8 @@ let opensystem () =
 let usage () =
   print_endline
     "usage: main.exe \
-     [fig1|fig4|micro|ablation-zipf|ablation-combine|mvcc|structures|\
-     compose|overload|opensystem|durability|combining|obs-overhead|all] \
-     [--json FILE] [--trace FILE]"
+     [fig1|micro|mvcc|compose|overload|opensystem|durability|combining|\
+     obs-overhead] [--json FILE] [--trace FILE]"
 
 let () =
   (* First non-flag argument is the command; --json/--trace (and their
@@ -1270,7 +1128,7 @@ let () =
     let rec go = function
       | ("--json" | "--trace") :: _ :: rest -> go rest
       | c :: _ -> c
-      | [] -> "all"
+      | [] -> "usage"
     in
     go (List.tl (Array.to_list Sys.argv))
   in
@@ -1278,31 +1136,14 @@ let () =
   if trace_file <> None then Obs.Trace.enable ();
   (match cmd with
   | "fig1" -> fig1 ()
-  | "fig4" -> fig4 ()
   | "micro" -> micro ()
-  | "ablation-zipf" -> ablation_zipf ()
-  | "ablation-combine" -> ablation_combine ()
   | "mvcc" -> mvcc_bench ()
-  | "structures" -> structures_bench ()
   | "compose" -> compose_bench ()
   | "overload" -> overload ()
   | "opensystem" -> opensystem ()
   | "durability" -> durability ()
   | "combining" -> combining ()
   | "obs-overhead" -> obs_overhead ()
-  | "all" ->
-      fig1 ();
-      micro ();
-      fig4 ();
-      ablation_zipf ();
-      ablation_combine ();
-      mvcc_bench ();
-      structures_bench ();
-      compose_bench ();
-      overload ();
-      opensystem ();
-      durability ();
-      combining ()
   | _ -> usage ());
   Option.iter
     (fun file ->

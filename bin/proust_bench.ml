@@ -1,109 +1,145 @@
-(* Command-line benchmark driver for custom parameter sweeps.
+(* Command-line benchmark driver: the one design-space grid.
 
      proust_bench --impl lazy-memo,fifo-lazy --threads 1,2,4 -u 0.5,1.0 \
-                  -o 1,16 --ops 100000 --mode eager-lazy --cm karma \
-                  --csv out.csv --json report.json --trace trace.json
+                  -o 1,16 --ops 100000 --mode lazy-lazy,eager-lazy \
+                  --cm passive,karma --slots 64,1024 --keys 1024 \
+                  --dist uniform,zipf:0.99 --csv out.csv --json report.json
 
-   The `bench/main.exe` harness regenerates the paper's fixed grids;
-   this tool explores arbitrary points of the space.  Implementations
-   are enumerated from the workload registry, so maps, FIFO queues and
-   priority queues are all benchable; an entry whose trait header
-   requires encounter-time conflict detection is upgraded to
-   eager-lazy if the requested mode cannot host it (Figure 1).
+   Every axis takes a comma list and the run is their product, over
+   registry entries (maps, FIFO queues, priority queues, counters).  An
+   entry whose trait header forbids a requested mode (Theorem 5.2) runs
+   under eager-lazy (Registry.under), said once; a cell whose effective
+   configuration already ran is not run again; a non-uniform --dist
+   skips the entries whose streams have no key distribution.  Rows name
+   the entry plus each axis that varies.  FIG4 and the ablations are
+   command lines of this tool (EXPERIMENTS.md "Recipes").
 
-   --json writes a "proust-bench/v1" report (and enables metrics, so
-   cells carry commit/abort-retry/lock-wait latency percentiles);
-   --trace enables tracing and writes a Chrome trace_event file
-   loadable in Perfetto. *)
+   --json writes a "proust-bench/v1" report whose cells record the mode,
+   cm, slots, key range and dist they ran under (and enables metrics, so
+   cells carry latency percentiles); --trace writes a Chrome trace_event
+   file loadable in Perfetto. *)
 
 module W = Proust_workload
-module S = Proust_structures
 module Obs = Proust_obs
+module J = Proust_obs.Json
 
-let run impls threads_list u_list o_list ops key_range trials slots mode cm csv
-    json trace =
-  let config =
-    {
-      (Stm.get_default_config ()) with
-      Stm.mode = Stm.Mode.of_string mode;
-      cm;
-    }
-  in
+let dist_name = function
+  | W.Workload.Uniform -> "uniform"
+  | W.Workload.Zipf s -> Printf.sprintf "zipf:%g" s
+
+let ( let* ) l f = List.concat_map f l
+
+let run impls threads_list u_list o_list ops keys_list trials slots_list modes
+    cms dists csv json trace =
   if json <> None then Obs.Metrics.enable ();
   if trace <> None then Obs.Trace.enable ();
+  let find ~slots name =
+    match W.Registry.find ~slots name with
+    | Some e -> e
+    | None ->
+        invalid_arg
+          (Printf.sprintf "unknown impl %s (known: %s)" name
+             (String.concat ", " (W.Registry.names ())))
+  in
+  let said = Hashtbl.create 8 and seen = Hashtbl.create 64 in
+  let once msg =
+    if not (Hashtbl.mem said msg) then (Hashtbl.add said msg (); print_endline msg)
+  in
+  let varies l = List.length (List.sort_uniq compare l) > 1 in
+  (* One series per entry under each effective configuration [id]. *)
+  let series =
+    let* mode = modes in
+    let* (cm : Proust_stm.Contention.t) = cms in
+    let* slots = slots_list in
+    let* keys = keys_list in
+    let* dist = dists in
+    let* name = impls in
+    let e = W.Registry.under (find ~slots name) mode in
+    let config = { (Option.get e.W.Registry.config) with Stm.cm } in
+    let ran = Stm.mode_name config.Stm.mode in
+    if config.Stm.mode <> mode then
+      once
+        (Printf.sprintf "%s: %s is unsound for its trait header (Theorem 5.2); runs under %s"
+           name (Stm.mode_name mode) ran);
+    let keyed =
+      match e.W.Registry.target with W.Registry.Map _ -> true | _ -> dist = W.Workload.Uniform
+    in
+    let id = (name, ran, cm.name, slots, keys, dist) in
+    if not keyed then begin
+      once
+        (Printf.sprintf "%s: skipped under --dist %s (no key distribution)"
+           name (dist_name dist));
+      []
+    end
+    else if Hashtbl.mem seen id then []
+    else begin
+      Hashtbl.add seen id ();
+      let tags =
+        [
+          (varies modes, ran);
+          (varies cms, cm.name);
+          (varies slots_list, Printf.sprintf "M%d" slots);
+          (varies keys_list, Printf.sprintf "k%d" keys);
+          (varies dists, dist_name dist);
+        ]
+      in
+      let label = List.filter_map (fun (v, t) -> if v then Some t else None) tags in
+      let axes =
+        [
+          ("mode", J.String ran);
+          ("cm", J.String cm.name);
+          ("slots", J.Int slots);
+          ("dist", J.String (dist_name dist));
+        ]
+      in
+      let run ~u ~o ~threads =
+        let spec =
+          { W.Workload.key_range = keys; write_fraction = u; ops_per_txn = o; total_ops = ops }
+        in
+        W.Runner.run_entry ~dist ~trials ~warmup:1 ~threads ~spec
+          { e with W.Registry.config = Some config }
+      in
+      [ (String.concat "/" (name :: label), name, axes, run) ]
+    end
+  in
+  let grid =
+    let* u = u_list in
+    let* o = o_list in
+    let* s = series in
+    let* threads = threads_list in
+    [ (u, o, s, threads) ]
+  in
   let cells = ref [] in
   let csv_oc = Option.map open_out csv in
   Option.iter W.Report.csv_header csv_oc;
   W.Report.header ();
-  let entries =
-    List.map
-      (fun name ->
-        match W.Registry.find ~slots name with
-        | Some e ->
-            (* Honour the requested mode unless the entry's trait
-               header rules it out (Theorem 5.2); then upgrade to
-               eager-lazy, as the registry would. *)
-            let config =
-              if
-                S.Trait.mode_ok e.W.Registry.meta.S.Trait.mode_req
-                  config.Stm.mode
-              then config
-              else { config with Stm.mode = Stm.Eager_lazy }
-            in
-            { e with W.Registry.config = Some config }
-        | None ->
-            invalid_arg
-              (Printf.sprintf "unknown impl %s (known: %s)" name
-                 (String.concat ", " (W.Registry.names ()))))
-      impls
-  in
   List.iter
-    (fun u ->
-      List.iter
-        (fun o ->
-          let spec =
-            {
-              W.Workload.key_range;
-              write_fraction = u;
-              ops_per_txn = o;
-              total_ops = ops;
-            }
-          in
-          List.iter
-            (fun (e : W.Registry.entry) ->
-              let name = e.W.Registry.name in
-              List.iter
-                (fun threads ->
-                  let r =
-                    W.Runner.run_entry ~trials ~warmup:1 ~threads ~spec e
-                  in
-                  W.Report.row ~name r;
-                  Option.iter (fun oc -> W.Report.csv_row oc ~name r) csv_oc;
-                  if json <> None then
-                    cells := W.Report.json_cell ~name r :: !cells)
-                threads_list)
-            entries)
-        o_list)
-    u_list;
+    (fun (u, o, (label, name, axes, run), threads) ->
+      let r = run ~u ~o ~threads in
+      W.Report.row ~name:label r;
+      Option.iter (fun oc -> W.Report.csv_row oc ~name:label r) csv_oc;
+      if json <> None then cells := W.Report.json_cell ~name ~axes r :: !cells)
+    grid;
   Option.iter close_out csv_oc;
   Option.iter
     (fun file ->
-      let jstr s = Obs.Json.String s in
+      let strings f l = J.List (List.map (fun x -> J.String (f x)) l) in
+      let ints l = J.List (List.map (fun i -> J.Int i) l) in
       let config_fields =
         [
-          ("impls", Obs.Json.List (List.map jstr impls));
-          ( "threads",
-            Obs.Json.List (List.map (fun t -> Obs.Json.Int t) threads_list) );
-          ("u", Obs.Json.List (List.map (fun u -> Obs.Json.Float u) u_list));
-          ("o", Obs.Json.List (List.map (fun o -> Obs.Json.Int o) o_list));
-          ("ops", Obs.Json.Int ops);
-          ("key_range", Obs.Json.Int key_range);
-          ("trials", Obs.Json.Int trials);
-          ("slots", Obs.Json.Int slots);
-          ("mode", jstr mode);
-          ("cm", jstr cm.Proust_stm.Contention.name);
-          ("ocaml", jstr Sys.ocaml_version);
-          ("unix_time", Obs.Json.Float (Unix.gettimeofday ()));
+          ("impls", strings Fun.id impls);
+          ("threads", ints threads_list);
+          ("u", J.List (List.map (fun u -> J.Float u) u_list));
+          ("o", ints o_list);
+          ("ops", J.Int ops);
+          ("key_range", ints keys_list);
+          ("trials", J.Int trials);
+          ("slots", ints slots_list);
+          ("mode", strings Stm.mode_name modes);
+          ("cm", strings (fun (c : Proust_stm.Contention.t) -> c.name) cms);
+          ("dist", strings dist_name dists);
+          ("ocaml", J.String Sys.ocaml_version);
+          ("unix_time", J.Float (Unix.gettimeofday ()));
         ]
       in
       W.Report.write_json ~file ~config:config_fields (List.rev !cells);
@@ -145,20 +181,24 @@ let ops_arg =
   Arg.(value & opt int 50_000 & info [ "ops" ] ~doc:"Total operations per cell")
 
 let keys_arg =
-  Arg.(value & opt int 1024 & info [ "keys" ] ~doc:"Key range")
+  Arg.(value & opt (list int) [ 1024 ] & info [ "keys" ] ~doc:"Comma-separated key ranges")
 
 let trials_arg = Arg.(value & opt int 3 & info [ "trials" ] ~doc:"Measured trials")
 
 let slots_arg =
-  Arg.(value & opt int 1024 & info [ "slots"; "M" ] ~doc:"Conflict-abstraction region size")
+  Arg.(
+    value
+    & opt (list int) [ 1024 ]
+    & info [ "slots"; "M" ] ~doc:"Comma-separated conflict-abstraction region sizes")
 
 let mode_arg =
   Arg.(
     value
-    & opt string "lazy-lazy"
+    & opt (list (enum (List.map (fun m -> (Stm.mode_name m, m)) Stm.Mode.all)))
+        [ Stm.Lazy_lazy ]
     & info [ "mode" ]
         ~doc:
-          (Printf.sprintf "STM conflict detection: %s"
+          (Printf.sprintf "Comma-separated STM conflict-detection modes: %s"
              (String.concat ", " (Stm.Mode.names ()))))
 
 let cm_arg =
@@ -169,11 +209,25 @@ let cm_arg =
   in
   Arg.(
     value
-    & opt (enum managers) (List.assoc "passive" managers)
+    & opt (list (enum managers)) [ List.assoc "passive" managers ]
     & info [ "cm" ]
         ~doc:
-          (Printf.sprintf "Contention manager: %s"
+          (Printf.sprintf "Comma-separated contention managers: %s"
              (String.concat ", " (List.map fst managers))))
+
+let dist_arg =
+  let parse = function
+    | "uniform" -> Ok W.Workload.Uniform
+    | d -> (
+        match Scanf.sscanf_opt d "zipf:%f%!" Fun.id with
+        | Some s when Float.is_finite s && s > 0.0 -> Ok (W.Workload.Zipf s)
+        | _ -> Error (`Msg ("expected uniform or zipf:S with S > 0, got " ^ d)))
+  in
+  let print fmt d = Format.pp_print_string fmt (dist_name d) in
+  Arg.(
+    value
+    & opt (list (conv (parse, print))) [ W.Workload.Uniform ]
+    & info [ "dist" ] ~doc:"Comma-separated map key distributions: uniform, zipf:S")
 
 let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write CSV to $(docv)")
@@ -195,12 +249,12 @@ let trace_arg =
         ~doc:"Record a Chrome trace_event file (Perfetto-loadable) to $(docv)")
 
 let cmd =
-  let doc = "Proust structure-throughput benchmark (custom sweeps)" in
+  let doc = "Proust structure-throughput benchmark (the design-space grid)" in
   Cmd.v
     (Cmd.info "proust_bench" ~doc)
     Term.(
       const run $ impls_arg $ threads_arg $ u_arg $ o_arg $ ops_arg $ keys_arg
-      $ trials_arg $ slots_arg $ mode_arg $ cm_arg $ csv_arg $ json_arg
-      $ trace_arg)
+      $ trials_arg $ slots_arg $ mode_arg $ cm_arg $ dist_arg $ csv_arg
+      $ json_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

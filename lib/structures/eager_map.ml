@@ -3,13 +3,6 @@
     immediately; each mutation registers an inverse built from its own
     return value, exactly as the Scala [TrieMap.put] does.
 
-    [combine_undo] enables the §9 future-work extension of log
-    combining to undo logs: instead of one inverse handler per
-    operation, the wrapper keeps one entry per dirty key — the key's
-    value when the transaction first touched it — and a single abort
-    handler restores all of them.  An aborting transaction then pays
-    per unique key instead of per operation.
-
     Soundness: with a pessimistic LAP this is transactional boosting
     (Theorem 5.1, opaque under any STM mode).  With an optimistic LAP
     the STM must detect conflicts on the conflict-abstraction slots at
@@ -30,9 +23,6 @@ type ('k, 'v) t = {
   base : ('k, 'v) base;
   alock : 'k Abstract_lock.t;
   csize : Committed_size.t;
-  undo_key : ('k, 'v option) Hashtbl.t Stm.Local.key option;
-      (** present when undo combining is on: first-observed value per
-          dirty key, restored wholesale on abort *)
 }
 
 (* Put [k] back to [old], its binding before the transaction touched it. *)
@@ -41,24 +31,12 @@ let restore base k old =
   | Some o -> ignore (base.bput k o)
   | None -> ignore (base.bremove k)
 
-let make ~base ~lap ?(size_mode = `Counter) ?(combine_undo = false)
-    ?(name = "eager-map") () =
-  let undo_key =
-    if not combine_undo then None
-    else
-      Some
-        (Stm.Local.key (fun txn ->
-             let firsts : ('k, 'v option) Hashtbl.t = Hashtbl.create 8 in
-             Stm.on_abort txn (fun () ->
-                 Hashtbl.iter (restore base) firsts);
-             firsts))
-  in
+let make ~base ~lap ?(size_mode = `Counter) ?(name = "eager-map") () =
   {
     name;
     base;
     alock = Abstract_lock.make ~lap ~strategy:Update_strategy.Eager;
     csize = Committed_size.create size_mode;
-    undo_key;
   }
 
 (* Single-key operations acquire the key's abstract lock and run the
@@ -73,21 +51,11 @@ let contains t txn k =
   Abstract_lock.acquire_key t.alock txn k ~write:false;
   t.base.bcontains k
 
-(* Register the undo of a mutation of [k] that found [old]: a
-   per-operation inverse, or the key's first value in the combined undo
-   table. *)
-let record_undo t txn k old =
-  match t.undo_key with
-  | None -> Stm.on_abort txn (fun () -> restore t.base k old)
-  | Some key ->
-      let firsts = Stm.Local.get txn key in
-      if not (Hashtbl.mem firsts k) then Hashtbl.add firsts k old
-
 let put t txn k v =
   Abstract_lock.acquire_key t.alock txn k ~write:true;
   let old = t.base.bput k v in
   if old = None then Committed_size.add t.csize txn 1;
-  record_undo t txn k old;
+  Stm.on_abort txn (fun () -> restore t.base k old);
   old
 
 let remove t txn k =
@@ -96,7 +64,7 @@ let remove t txn k =
   (* A remove that found nothing changed nothing: no undo. *)
   if old <> None then begin
     Committed_size.add t.csize txn (-1);
-    record_undo t txn k old
+    Stm.on_abort txn (fun () -> restore t.base k old)
   end;
   old
 

@@ -1,8 +1,7 @@
 (** Generic eager Proustian map (Figure 2a), parameterized by the
     thread-safe base map it wraps.  Operations run against the base
     immediately; each mutation registers an inverse built from its own
-    return value.  [combine_undo] switches to one combined undo entry
-    per dirty key (§9 future work).
+    return value.
 
     Soundness: pessimistic LAP under any STM mode (Theorem 5.1);
     optimistic LAP requires encounter-time conflict detection
@@ -23,7 +22,6 @@ val make :
   base:('k, 'v) base ->
   lap:'k Lock_allocator.t ->
   ?size_mode:[ `Counter | `Transactional ] ->
-  ?combine_undo:bool ->
   ?name:string ->
   unit ->
   ('k, 'v) t

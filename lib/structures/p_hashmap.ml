@@ -14,16 +14,14 @@ let base_of backing =
     bcontains = Proust_concurrent.Chashmap.contains backing;
   }
 
-let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?size_mode
-    ?combine_undo () =
+let make ?(slots = 1024) ?(lap = Trait.Optimistic) ?size_mode () =
   let backing = Proust_concurrent.Chashmap.create () in
   let ca = Conflict_abstraction.striped ~slots () in
   let lap = Trait.make_lap lap ~ca in
   {
     backing;
     wrapper =
-      Eager_map.make ~base:(base_of backing) ~lap ?size_mode ?combine_undo
-        ~name:"p-hashmap" ();
+      Eager_map.make ~base:(base_of backing) ~lap ?size_mode ~name:"p-hashmap" ();
   }
 
 let get t = Eager_map.get t.wrapper

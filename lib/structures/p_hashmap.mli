@@ -1,9 +1,6 @@
 (** Eager Proustian hash map — {!Proust_concurrent.Chashmap} wrapped by
     the generic eager construction (Figure 2a over ConcurrentHashMap).
 
-    [combine_undo] enables the combined undo log (§9 future work): one
-    restore entry per dirty key instead of one inverse per operation.
-
     Soundness: pessimistic LAP under any STM mode (Theorem 5.1);
     optimistic LAP only under the [Eager_lazy]/[Eager_eager] STM modes
     (Theorem 5.2 — see the design-space table in {!Proust}). *)
@@ -14,7 +11,6 @@ val make :
   ?slots:int ->
   ?lap:Trait.lap_choice ->
   ?size_mode:[ `Counter | `Transactional ] ->
-  ?combine_undo:bool ->
   unit ->
   ('k, 'v) t
 

@@ -25,12 +25,15 @@ let mode_req_name = function
   | Any_mode -> "any"
   | Encounter_time -> "encounter-time"
 
+(* Read off Figure 1's one table: an [Encounter_time] structure is an
+   optimistic/eager point. *)
 let mode_ok req (m : Stm.mode) =
-  match (req, m) with
-  | Any_mode, _ -> true
-  | Encounter_time, (Stm.Eager_lazy | Stm.Eager_eager) -> true
-  | Encounter_time, (Stm.Lazy_lazy | Stm.Serial_commit | Stm.Multi_version) ->
-      false
+  match req with
+  | Any_mode -> true
+  | Encounter_time ->
+      Proust.compatible
+        { lap = Lock_allocator.Optimistic; strategy = Update_strategy.Eager }
+        m
 
 (** The shared trait header. *)
 type meta = {

@@ -37,6 +37,11 @@ let config_for (meta : T.meta) =
   | T.Encounter_time -> Some (eager_mode ())
   | T.Any_mode -> None
 
+let under e mode =
+  let mode = if T.mode_ok e.meta.T.mode_req mode then mode else Stm.Eager_lazy in
+  let base = Option.value e.config ~default:(Stm.get_default_config ()) in
+  { e with config = Some { base with mode } }
+
 (* Registry names override the structure's intrinsic meta name (two
    entries may wrap the same structure under different laps), and the
    override is pushed into the ops the entry builds so metrics scopes
@@ -120,11 +125,6 @@ let builders ~slots =
 
 let all ?(slots = 1024) () =
   List.map (fun (_, build) -> build ()) (builders ~slots)
-
-let maps ?slots () =
-  List.filter
-    (fun e -> match e.target with Map _ -> true | _ -> false)
-    (all ?slots ())
 
 let find ?(slots = 1024) name =
   Option.map (fun build -> build ()) (List.assoc_opt name (builders ~slots))

@@ -29,8 +29,13 @@ val eager_mode : unit -> Stm.config
 (** Derive the config an implementation with this header requires. *)
 val config_for : Proust_structures.Trait.meta -> Stm.config option
 
+(** [under e mode] runs [e] under [mode] when its trait header admits
+    it ({!Proust_structures.Trait.mode_ok}, Theorem 5.2), and under
+    [Eager_lazy] otherwise; the rest of the config is [e]'s own or the
+    current default. *)
+val under : entry -> Stm.mode -> entry
+
 val all : ?slots:int -> unit -> entry list
-val maps : ?slots:int -> unit -> entry list
 
 (** Builds only the named entry's structure (to read its meta). *)
 val find : ?slots:int -> string -> entry option

@@ -11,13 +11,13 @@
 module J = Proust_obs.Json
 
 let header () =
-  Printf.printf "%-18s %5s %5s %4s %10s %9s %12s %9s %9s %7s %6s %6s\n" "impl"
+  Printf.printf "%-30s %5s %5s %4s %10s %9s %12s %9s %9s %7s %6s %6s\n" "impl"
     "u" "o" "t" "mean(ms)" "sd(ms)" "ops/s" "commits" "aborts" "fallbk" "shed"
     "tmout";
-  Printf.printf "%s\n" (String.make 110 '-')
+  Printf.printf "%s\n" (String.make 122 '-')
 
 let row ~name (r : Runner.result) =
-  Printf.printf "%-18s %5.2f %5d %4d %10.2f %9.2f %12.0f %9d %9d %7d %6d %6d\n%!"
+  Printf.printf "%-30s %5.2f %5d %4d %10.2f %9.2f %12.0f %9d %9d %7d %6d %6d\n%!"
     name r.Runner.spec.Workload.write_fraction
     r.Runner.spec.Workload.ops_per_txn r.Runner.threads r.Runner.mean_ms
     r.Runner.stddev_ms r.Runner.throughput r.Runner.stats.Stats.commits
@@ -45,10 +45,10 @@ let section title = Printf.printf "\n=== %s ===\n%!" title
 (* ------------------------------------------------------------------ *)
 (* JSON report: the BENCH_*.json format.                               *)
 
-let json_cell ~name (r : Runner.result) =
+let json_cell ~name ~axes (r : Runner.result) =
   J.Obj
-    [
-      ("impl", J.String name);
+    ((("impl", J.String name) :: axes)
+    @ [
       ("u", J.Float r.Runner.spec.Workload.write_fraction);
       ("o", J.Int r.Runner.spec.Workload.ops_per_txn);
       ("threads", J.Int r.Runner.threads);
@@ -73,7 +73,7 @@ let json_cell ~name (r : Runner.result) =
         match r.Runner.latency with
         | Some s -> Proust_obs.Metrics.scope_summary_to_json s
         | None -> J.Null );
-    ]
+      ])
 
 (** The report envelope: [config] carries run-level settings (host
     facts, CLI flags, STM mode) as caller-chosen fields. *)

@@ -9,10 +9,16 @@ val csv_header : out_channel -> unit
 val csv_row : out_channel -> name:string -> Runner.result -> unit
 val section : string -> unit
 
-(** One measured cell as a JSON object: run shape ([impl], [u], [o],
-    [threads], …), timings, the {!Stats.to_assoc} counter diff, and the
-    latency summary ([null] when metrics were off). *)
-val json_cell : name:string -> Runner.result -> Proust_obs.Json.t
+(** One measured cell as a JSON object: [impl], then the caller's
+    [axes] (the configuration the cell ran under), the run shape ([u],
+    [o], [threads], [key_range], …), timings, the {!Stats.to_assoc}
+    counter diff, and the latency summary ([null] when metrics were
+    off). *)
+val json_cell :
+  name:string ->
+  axes:(string * Proust_obs.Json.t) list ->
+  Runner.result ->
+  Proust_obs.Json.t
 
 (** The report envelope: [{schema = "proust-bench/v1"; config; cells}].
     [config] carries run-level settings as caller-chosen fields. *)

@@ -7,12 +7,15 @@
     jitter", §7); the first [warmup] trials are discarded.
 
     The core loop is generic over the operation type, so the same
-    trial machinery drives maps, FIFO queues and priority queues;
-    {!run_entry} dispatches on a {!Registry.entry}.  When a [label] is
-    given, each worker domain enters that {!Proust_obs.Metrics} scope,
-    so a run's commit/abort-retry/lock-wait latency histograms land
-    under the implementation's name; the scope is reset after warmup
-    and summarized into the result when metrics are enabled. *)
+    trial machinery drives maps, FIFO queues, priority queues and
+    counters; {!run_entry} picks the prefill, stream and apply for a
+    {!Registry.entry}.  Each worker domain enters the entry's
+    {!Proust_obs.Metrics} scope, so a run's commit/abort-retry/lock-wait
+    latency histograms land under the implementation's name; the scope
+    is reset after warmup and summarized into the result when metrics
+    are enabled. *)
+
+module T = Proust_structures.Trait
 
 type result = {
   threads : int;
@@ -24,7 +27,7 @@ type result = {
   stats : Stats.snapshot;  (** STM activity during the measured trials *)
   latency : Proust_obs.Metrics.scope_summary option;
       (** per-scope latency histograms for the measured trials; [None]
-          unless a [label] was given and metrics were enabled *)
+          unless metrics were enabled *)
 }
 
 let barrier n =
@@ -59,15 +62,25 @@ let timed n work =
   -. Array.fold_left min infinity started
 
 (* One trial, generic over the structure ('ops) and operation ('op)
-   types.  [streams i] yields domain [i]'s pre-generated operations. *)
-let run_trial (type ops op) ?config ?label ~threads ~(spec : Workload.spec)
-    ~(prefill : Stm.config option -> ops -> unit) ~(streams : int -> op array)
+   types: [fill] prefills a fresh structure with [key_range / 2] values
+   from [draw], one transaction each, and worker [i] runs the stream
+   seeded [i + 1]. *)
+let run_trial (type ops op) ?config ~label ~threads ~(spec : Workload.spec)
+    ~draw ~(fill : ops -> Stm.txn -> int -> unit)
+    ~(stream : int -> count:int -> op array)
     ~(apply : ops -> Stm.txn -> op -> unit) (make_ops : unit -> ops) =
   let ops = make_ops () in
-  prefill config ops;
-  let streams = Array.init threads streams in
+  let rng = Random.State.make [| 0xbeef |] in
+  for i = 1 to spec.Workload.key_range / 2 do
+    let v = draw rng i in
+    Stm.atomically ?config (fun txn -> fill ops txn v)
+  done;
+  let per_thread = spec.Workload.total_ops / threads in
+  let streams =
+    Array.init threads (fun i -> stream (i + 1) ~count:per_thread)
+  in
   timed threads (fun i ->
-      Option.iter Proust_obs.Metrics.set_label label;
+      Proust_obs.Metrics.set_label label;
       let stream = streams.(i) in
       fun () ->
         (* [Gc.minor_words] is per-domain in OCaml 5, so each worker
@@ -95,136 +108,79 @@ let stddev l =
   let m = mean l in
   sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) l))
 
-(* Generic warmup/measure harness shared by all three structure kinds.
-   [chaos] arms {!Fault} with the given policy for the measured trials
-   (and disarms it afterwards), so a run can report STM behaviour under
-   an adversarial schedule. *)
-let run_gen ?config ?chaos ?chaos_seed ?(trials = 3) ?(warmup = 1) ?label
-    ~threads ~spec ~prefill ~streams ~apply make_ops =
+(* The warmup/measure harness over {!run_trial}. *)
+let measure ?config ~trials ~warmup ~label ~threads ~spec ~draw ~fill ~stream
+    ~apply make_ops =
   let trial () =
-    run_trial ?config ?label ~threads ~spec ~prefill ~streams ~apply make_ops
+    run_trial ?config ~label ~threads ~spec ~draw ~fill ~stream ~apply make_ops
   in
   for _ = 1 to warmup do
     ignore (trial ());
     Gc.full_major ()
   done;
   (* Warmup latencies would pollute the measured histograms. *)
-  Option.iter Proust_obs.Metrics.reset_scope label;
-  (match chaos with
-  | None -> ()
-  | Some policy -> Fault.configure ?seed:chaos_seed policy);
-  Fun.protect
-    ~finally:(fun () -> if chaos <> None then Fault.disable ())
-    (fun () ->
-      let before = Stats.read () in
-      let times =
-        List.init trials (fun _ ->
-            let dt = trial () in
-            Gc.full_major ();
-            dt)
-      in
-      let after = Stats.read () in
-      let ms = List.map (fun s -> s *. 1000.0) times in
-      {
-        threads;
-        spec;
-        mean_ms = mean ms;
-        stddev_ms = stddev ms;
-        trials_ms = ms;
-        throughput = float_of_int spec.Workload.total_ops /. mean times;
-        stats = Stats.diff before after;
-        latency =
-          (match label with
-          | Some l when Proust_obs.Metrics.enabled () ->
-              Proust_obs.Metrics.read_scope l
-          | _ -> None);
-      })
-
-(** [run ?config ?chaos ~threads ~spec make_ops] — the map benchmark.
-    [make_ops] builds a fresh map per trial so trials are independent;
-    prefill inserts [key_range / 2] random keys. *)
-let run ?config ?chaos ?chaos_seed ?dist ?trials ?warmup ?label ~threads
-    ~(spec : Workload.spec) make_ops =
-  let prefill config ops =
-    let rng = Random.State.make [| 0xbeef |] in
-    for _ = 1 to spec.Workload.key_range / 2 do
-      let k = Random.State.int rng spec.Workload.key_range in
-      Stm.atomically ?config (fun txn ->
-          ignore (ops.Proust_structures.Trait.Map.put txn k k))
-    done
+  Proust_obs.Metrics.reset_scope label;
+  let before = Stats.read () in
+  let times =
+    List.init trials (fun _ ->
+        let dt = trial () in
+        Gc.full_major ();
+        dt)
   in
-  let per_thread = spec.Workload.total_ops / threads in
-  run_gen ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads ~spec
-    ~prefill
-    ~streams:(fun i -> Workload.stream ~seed:(i + 1) ?dist spec ~count:per_thread)
-    ~apply:Workload.apply_op make_ops
+  let after = Stats.read () in
+  let ms = List.map (fun s -> s *. 1000.0) times in
+  {
+    threads;
+    spec;
+    mean_ms = mean ms;
+    stddev_ms = stddev ms;
+    trials_ms = ms;
+    throughput = float_of_int spec.Workload.total_ops /. mean times;
+    stats = Stats.diff before after;
+    latency =
+      (if Proust_obs.Metrics.enabled () then Proust_obs.Metrics.read_scope label
+       else None);
+  }
 
-(** FIFO-queue benchmark: prefill enqueues [key_range / 2] values. *)
-let run_queue ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads
-    ~(spec : Workload.spec) make_ops =
-  let prefill config ops =
-    for v = 1 to spec.Workload.key_range / 2 do
-      Stm.atomically ?config (fun txn ->
-          ops.Proust_structures.Trait.Queue.enqueue txn v)
-    done
-  in
-  let per_thread = spec.Workload.total_ops / threads in
-  run_gen ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads ~spec
-    ~prefill
-    ~streams:(fun i -> Workload.queue_stream ~seed:(i + 1) spec ~count:per_thread)
-    ~apply:Workload.apply_qop make_ops
-
-(** Priority-queue benchmark: prefill inserts [key_range / 2] random
-    values. *)
-let run_pqueue ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads
-    ~(spec : Workload.spec) make_ops =
-  let prefill config ops =
-    let rng = Random.State.make [| 0xbeef |] in
-    for _ = 1 to spec.Workload.key_range / 2 do
-      let v = Random.State.int rng spec.Workload.key_range in
-      Stm.atomically ?config (fun txn ->
-          ops.Proust_structures.Trait.Pqueue.insert txn v)
-    done
-  in
-  let per_thread = spec.Workload.total_ops / threads in
-  run_gen ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads ~spec
-    ~prefill
-    ~streams:(fun i ->
-      Workload.pqueue_stream ~seed:(i + 1) spec ~count:per_thread)
-    ~apply:Workload.apply_pqop make_ops
-
-(** Counter benchmark: prefill increments [key_range / 2] times so
+(** Benchmark a {!Registry.entry} under its config, in the metrics
+    scope named after it.  Maps prefill [key_range / 2] random keys;
+    queues prefill the values [1 .. key_range / 2]; priority queues
+    prefill random values; counters prefill that many increments, so
     early decrements have headroom. *)
-let run_counter ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads
-    ~(spec : Workload.spec) make_ops =
-  let prefill config ops =
-    for _ = 1 to spec.Workload.key_range / 2 do
-      Stm.atomically ?config (fun txn ->
-          ops.Proust_structures.Trait.Counter.incr txn)
-    done
+let run_entry ?(dist = Workload.Uniform) ?(trials = 3) ?(warmup = 1) ~threads
+    ~spec (e : Registry.entry) =
+  let measure make_ops =
+    measure ?config:e.Registry.config ~trials ~warmup ~label:e.Registry.name
+      ~threads ~spec make_ops
   in
-  let per_thread = spec.Workload.total_ops / threads in
-  run_gen ?config ?chaos ?chaos_seed ?trials ?warmup ?label ~threads ~spec
-    ~prefill
-    ~streams:(fun i ->
-      Workload.counter_stream ~seed:(i + 1) spec ~count:per_thread)
-    ~apply:Workload.apply_cop make_ops
-
-(** Benchmark a {!Registry.entry} under the STM config its trait header
-    requires; the metrics scope defaults to the entry's name. *)
-let run_entry ?chaos ?chaos_seed ?dist ?trials ?warmup ?label ~threads ~spec
-    (e : Registry.entry) =
-  let label = Option.value label ~default:e.Registry.name in
+  let random rng _ = Random.State.int rng spec.Workload.key_range in
+  let index _ i = i in
+  let uniform_only () =
+    if dist <> Workload.Uniform then
+      invalid_arg
+        (e.Registry.name ^ ": only map streams have a key distribution")
+  in
   match e.Registry.target with
   | Registry.Map make ->
-      run ?config:e.Registry.config ?chaos ?chaos_seed ?dist ?trials ?warmup
-        ~label ~threads ~spec make
+      measure make ~draw:random
+        ~fill:(fun ops txn k -> ignore (ops.T.Map.put txn k k))
+        ~stream:(fun seed -> Workload.stream ~seed ~dist spec)
+        ~apply:Workload.apply_op
   | Registry.Queue make ->
-      run_queue ?config:e.Registry.config ?chaos ?chaos_seed ?trials ?warmup
-        ~label ~threads ~spec make
+      uniform_only ();
+      measure make ~draw:index
+        ~fill:(fun ops txn v -> ops.T.Queue.enqueue txn v)
+        ~stream:(fun seed -> Workload.queue_stream ~seed spec)
+        ~apply:Workload.apply_qop
   | Registry.Pqueue make ->
-      run_pqueue ?config:e.Registry.config ?chaos ?chaos_seed ?trials ?warmup
-        ~label ~threads ~spec make
+      uniform_only ();
+      measure make ~draw:random
+        ~fill:(fun ops txn v -> ops.T.Pqueue.insert txn v)
+        ~stream:(fun seed -> Workload.pqueue_stream ~seed spec)
+        ~apply:Workload.apply_pqop
   | Registry.Counter make ->
-      run_counter ?config:e.Registry.config ?chaos ?chaos_seed ?trials ?warmup
-        ~label ~threads ~spec make
+      uniform_only ();
+      measure make ~draw:index
+        ~fill:(fun ops txn _ -> ops.T.Counter.incr txn)
+        ~stream:(fun seed -> Workload.counter_stream ~seed spec)
+        ~apply:Workload.apply_cop

@@ -5,11 +5,11 @@
     under-measures when domains outnumber cores).  Trials are
     separated by a major GC; warmup trials are discarded.
 
-    The same trial machinery drives maps, FIFO queues and priority
-    queues; {!run_entry} dispatches on a {!Registry.entry}.  A [label]
-    routes each worker into that {!Proust_obs.Metrics} scope (reset
-    after warmup), and the scope's latency summary lands in the result
-    when metrics are enabled. *)
+    The same trial machinery drives maps, FIFO queues, priority queues
+    and counters; {!run_entry} dispatches on a {!Registry.entry}.  Each
+    worker enters the entry's {!Proust_obs.Metrics} scope (reset after
+    warmup), and the scope's latency summary lands in the result when
+    metrics are enabled. *)
 
 type result = {
   threads : int;
@@ -21,88 +21,29 @@ type result = {
   stats : Stats.snapshot;  (** STM activity during the measured trials *)
   latency : Proust_obs.Metrics.scope_summary option;
       (** per-scope latency histograms for the measured trials; [None]
-          unless a [label] was given and metrics were enabled *)
+          unless metrics were enabled *)
 }
 
-(** [barrier n] returns an [enter] function that blocks until [n]
-    participants arrived. *)
-val barrier : int -> unit -> unit
-
 (** [timed n work] spawns [n] worker domains.  Worker [i] first runs
-    [work i] (untimed setup) and waits at a {!barrier}; then it runs
+    [work i] (untimed setup) and waits at a barrier; then it runs
     the closure [work i] returned.  The result is the window in
     seconds from the first worker's start to the last worker's finish,
     measured inside the workers on the monotonic clock. *)
 val timed : int -> (int -> unit -> unit) -> float
 
-(** [run ?config ?chaos ~threads ~spec make_ops] — [make_ops] builds a
-    fresh map per trial so trials are independent.  [chaos] arms
-    {!Fault} with the given policy for the measured trials and disarms
-    it afterwards; the result's stats then include the injected fault
-    and serial-fallback counts for fallback-rate reporting. *)
-val run :
-  ?config:Stm.config ->
-  ?chaos:(Fault.point * Fault.site) list ->
-  ?chaos_seed:int ->
-  ?dist:Workload.distribution ->
-  ?trials:int ->
-  ?warmup:int ->
-  ?label:string ->
-  threads:int ->
-  spec:Workload.spec ->
-  (unit -> (int, int) Proust_structures.Trait.Map.ops) ->
-  result
+(** Benchmark a registry entry under its config.  For a map,
+    [spec.write_fraction] is the write share and [dist] (default
+    [Uniform]) the key popularity; for a FIFO or priority queue it is
+    the producer share; for a counter, the increment share (the rest
+    splits between decrements and value reads).
 
-(** FIFO-queue variant: [spec.write_fraction] is the enqueue share. *)
-val run_queue :
-  ?config:Stm.config ->
-  ?chaos:(Fault.point * Fault.site) list ->
-  ?chaos_seed:int ->
-  ?trials:int ->
-  ?warmup:int ->
-  ?label:string ->
-  threads:int ->
-  spec:Workload.spec ->
-  (unit -> int Proust_structures.Trait.Queue.ops) ->
-  result
-
-(** Priority-queue variant: [spec.write_fraction] is the insert
-    share. *)
-val run_pqueue :
-  ?config:Stm.config ->
-  ?chaos:(Fault.point * Fault.site) list ->
-  ?chaos_seed:int ->
-  ?trials:int ->
-  ?warmup:int ->
-  ?label:string ->
-  threads:int ->
-  spec:Workload.spec ->
-  (unit -> int Proust_structures.Trait.Pqueue.ops) ->
-  result
-
-(** Counter variant: [spec.write_fraction] is the increment share; the
-    rest splits between decrements and value reads. *)
-val run_counter :
-  ?config:Stm.config ->
-  ?chaos:(Fault.point * Fault.site) list ->
-  ?chaos_seed:int ->
-  ?trials:int ->
-  ?warmup:int ->
-  ?label:string ->
-  threads:int ->
-  spec:Workload.spec ->
-  (unit -> Proust_structures.Trait.Counter.ops) ->
-  result
-
-(** Benchmark a registry entry under the STM config its trait header
-    requires; the metrics scope defaults to the entry's name. *)
+    @raise Invalid_argument on a non-uniform [dist] for a queue,
+    priority queue or counter entry: their streams have no key
+    distribution. *)
 val run_entry :
-  ?chaos:(Fault.point * Fault.site) list ->
-  ?chaos_seed:int ->
   ?dist:Workload.distribution ->
   ?trials:int ->
   ?warmup:int ->
-  ?label:string ->
   threads:int ->
   spec:Workload.spec ->
   Registry.entry ->

@@ -199,7 +199,13 @@ let since t0 = Clock.now_mono () -. t0
    first append to the last ack, and the acks. *)
 let commit_once log n =
   let t0 = Clock.now_mono () in
-  let meet = W.Runner.barrier n in
+  let met = Atomic.make 0 in
+  let meet () =
+    Atomic.incr met;
+    while Atomic.get met < n do
+      Domain.cpu_relax ()
+    done
+  in
   let acks =
     List.init n (fun _ ->
         Domain.spawn (fun () ->

@@ -393,54 +393,6 @@ let shadow_sees_landed_commit (ops : (int, int) S.Trait.Map.ops) () =
 (* ------------------------------------------------------------------ *)
 (* S9 optimisations                                                    *)
 
-let test_undo_combining_restores () =
-  let m = S.P_hashmap.make ~lap:S.Trait.Pessimistic ~combine_undo:true () in
-  ignore (Stm.atomically (fun txn -> S.P_hashmap.put m txn 1 100));
-  let tries = ref 0 in
-  Stm.atomically (fun txn ->
-      incr tries;
-      if !tries = 1 then begin
-        (* many ops on few keys: combined undo restores first values *)
-        for i = 1 to 20 do
-          ignore (S.P_hashmap.put m txn 1 i);
-          ignore (S.P_hashmap.put m txn 2 i)
-        done;
-        ignore (S.P_hashmap.remove m txn 1);
-        ignore (Stm.restart txn)
-      end);
-  check copt_i "key 1 restored to first value" (Some 100)
-    (Stm.atomically (fun txn -> S.P_hashmap.get m txn 1));
-  check copt_i "key 2 never existed" None
-    (Stm.atomically (fun txn -> S.P_hashmap.get m txn 2))
-
-let test_undo_combining_conserves () =
-  let m = S.P_hashmap.make ~lap:S.Trait.Pessimistic ~combine_undo:true () in
-  let ops = S.P_hashmap.ops m in
-  Stm.atomically (fun txn ->
-      for k = 0 to 7 do
-        ignore (ops.S.Trait.Map.put txn k 100)
-      done);
-  spawn_all 4 (fun d ->
-      let rng = Random.State.make [| d |] in
-      for _ = 1 to 200 do
-        let a = Random.State.int rng 8 and b = Random.State.int rng 8 in
-        if a <> b then
-          Stm.atomically (fun txn ->
-              let va = Option.get (ops.S.Trait.Map.get txn a) in
-              ignore (ops.S.Trait.Map.put txn a (va - 1));
-              let vb = Option.get (ops.S.Trait.Map.get txn b) in
-              ignore (ops.S.Trait.Map.put txn b (vb + 1)))
-      done);
-  let total =
-    Stm.atomically (fun txn ->
-        let t = ref 0 in
-        for k = 0 to 7 do
-          t := !t + Option.get (ops.S.Trait.Map.get txn k)
-        done;
-        !t)
-  in
-  check ci "conserved with combined undo" 800 total
-
 let test_install_combining_fast_path () =
   (* Single-threaded: the root CAS must always succeed, and committed
      state must match exactly. *)
@@ -600,8 +552,6 @@ let suite =
       test "lazy-snap shadow sees a commit that landed"
         (shadow_sees_landed_commit
            (S.P_lazy_triemap.ops (S.P_lazy_triemap.make ())));
-      test "undo combining restores" test_undo_combining_restores;
-      slow "undo combining conserves" test_undo_combining_conserves;
       test "install combining fast path" test_install_combining_fast_path;
       slow "install combining fallback" test_install_combining_fallback;
       slow "install combining pqueue" test_install_combining_pqueue;

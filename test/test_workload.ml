@@ -58,18 +58,38 @@ let test_txn_count () =
   check ci "exact division" 10 (W.Workload.txn_count (spec ~u:0.0 ~o:100) ~count:1_000);
   check ci "ragged tail" 11 (W.Workload.txn_count (spec ~u:0.0 ~o:100) ~count:1_001)
 
+let entry name = Option.get (W.Registry.find name)
+
 let test_runner_end_to_end () =
-  let make () =
-    Proust_structures.P_lazy_hashmap.ops (Proust_structures.P_lazy_hashmap.make ())
-  in
   let r =
-    W.Runner.run ~trials:2 ~warmup:0 ~threads:2 ~spec:(spec ~u:0.5 ~o:4) make
+    W.Runner.run_entry ~trials:2 ~warmup:0 ~threads:2 ~spec:(spec ~u:0.5 ~o:4)
+      (entry "lazy-memo-combine")
   in
   check ci "two trials" 2 (List.length r.W.Runner.trials_ms);
   check cb "positive time" true (r.W.Runner.mean_ms > 0.0);
   check cb "throughput sane" true (r.W.Runner.throughput > 0.0);
   (* per trial: 32 prefill txns + 1000/2 ops in 4-op txns per thread *)
   check cb "commits recorded" true (r.W.Runner.stats.Stats.commits > 0)
+
+(* Over 1,024 keys, Zipf(0.99) gives key 0 about 13% of the draws;
+   uniform keys give it about 0.1%. *)
+let test_zipf_skews_keys () =
+  let spec = { (spec ~u:0.0 ~o:1) with W.Workload.key_range = 1024 } in
+  let count = 20_000 in
+  let share dist =
+    let s = W.Workload.stream ~seed:5 ~dist spec ~count in
+    let hits =
+      Array.fold_left (fun n op -> if op = W.Workload.Get 0 then n + 1 else n) 0 s
+    in
+    float_of_int hits /. float_of_int count
+  in
+  let zipf = share (W.Workload.Zipf 0.99) and uniform = share W.Workload.Uniform in
+  check cb (Printf.sprintf "zipf: key 0 takes %.3f > 0.05" zipf) true (zipf > 0.05);
+  check cb
+    (Printf.sprintf "uniform: key 0 takes %.4f < 0.01" uniform)
+    true (uniform < 0.01);
+  let draw () = W.Workload.stream ~seed:9 ~dist:(W.Workload.Zipf 0.99) spec ~count:500 in
+  check cb "seeded zipf stream deterministic" true (draw () = draw ())
 
 (* Every worker index runs once, and the window spans the slowest
    worker: it cannot be shorter than the longest sleep. *)
@@ -88,11 +108,9 @@ let test_timed_window () =
   check cb "window covers the longest sleep" true (dt >= sleep (n - 1))
 
 let test_report_renders () =
-  let make () =
-    Proust_baselines.Predication_map.ops (Proust_baselines.Predication_map.make ())
-  in
   let r =
-    W.Runner.run ~trials:1 ~warmup:0 ~threads:1 ~spec:(spec ~u:0.5 ~o:1) make
+    W.Runner.run_entry ~trials:1 ~warmup:0 ~threads:1 ~spec:(spec ~u:0.5 ~o:1)
+      (entry "predication")
   in
   (* smoke: the printers do not raise *)
   W.Report.header ();
@@ -143,6 +161,7 @@ let suite =
     test "u extremes" test_extremes;
     test "keys in range" test_keys_in_range;
     test "txn count" test_txn_count;
+    test "zipf stream skews keys" test_zipf_skews_keys;
     test "timed window" test_timed_window;
     test "registry keys name their entries" test_registry_names;
     slow "runner end to end" test_runner_end_to_end;

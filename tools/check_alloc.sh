@@ -8,9 +8,11 @@
 #   stm-map   lazy-lazy     t=1 u=0.1 o=16  the read-heavy hot path the
 #                                           log-structured read/write
 #                                           sets are tuned for;
-#   eager-opt lazy-lazy     t=1 u=1   o=16  an update-only Proustian map:
+#   eager-opt eager-lazy    t=1 u=1   o=16  an update-only Proustian map:
 #                                           abstract-lock acquisition and
-#                                           the Chashmap per-key ops;
+#                                           the Chashmap per-key ops
+#                                           (encounter-time, so never
+#                                           under lazy-lazy: Theorem 5.2);
 #   lazy-memo lazy-lazy     t=1 u=1   o=16  the same map under the lazy
 #                                           strategy: the memo replay log
 #                                           and its commit-time replay;
