@@ -50,13 +50,15 @@ let compatible p (mode : Stm.mode) =
      lazy/lazy; encounter-time requirements remain unmet. *)
   | Lock_allocator.Optimistic, Update_strategy.Eager, Stm.Multi_version ->
       false
-  (* Open (ROADMAP item 1): [Eager_lazy] locks writes at encounter time
-     but surfaces read–write conflicts only at commit, with invisible
-     reads, so it does not meet the rule above, yet this cell says
-     opaque.  Updates are lost under it (the matrix and integration
-     eager/optimistic cases failed 3 and 4 of 40 solo runs), suspected
-     through a read of an aborting writer's base mutation.  The fix
-     belongs to item 1. *)
+  (* [Eager_lazy] locks writes at encounter time but surfaces
+     read–write conflicts only at commit, with invisible reads, so a
+     reader can see an aborting writer's base mutation.  Its abort
+     releases those locks at a fresh version (TinySTM's write-through
+     rule, [Commit_ladder.do_abort]), so that reader fails commit
+     validation; test_opacity forces the schedule.  The rule covers
+     mutations made under a write intent only: [P_counter.incr]
+     mutates under a read of its level slot and still loses updates
+     here. *)
   | Lock_allocator.Optimistic, Update_strategy.Eager, Stm.Eager_lazy -> true
   | Lock_allocator.Optimistic, Update_strategy.Eager, Stm.Eager_eager -> true
 

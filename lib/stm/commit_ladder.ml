@@ -7,6 +7,21 @@ open Txn_state
 
 let run_hooks = Publisher.run_hooks
 
+(* TinySTM's write-through rule.  An attempt that ran inverses mutated
+   shared state in place under its encounter-time locks, and under
+   invisible reads a concurrent reader may have seen those mutations
+   between our lock and our inverse.  Releasing the locks at their old
+   versions would let that reader validate; one clock tick stamped on
+   every held tvar (value unchanged) makes it fail instead.  Attempts
+   without inverses mutated nothing in place and keep their versions. *)
+let restamp_locks t ~ran_inverses =
+  if ran_inverses && t.proto.p_write_through && t.locked <> [] then begin
+    let version = Clock.tick Clock.global in
+    List.iter
+      (fun (Locked tv) -> Tvar.publish tv (Tvar.peek tv) ~version)
+      t.locked
+  end
+
 let do_abort t reason =
   ignore (Txn_desc.try_abort t.tdesc);
   Stats.record_abort ();
@@ -25,11 +40,15 @@ let do_abort t reason =
   let hooks = t.abort_hooks in
   t.abort_hooks <- [];
   t.finished <- true;
+  let ran_inverses = hooks <> [] in
   (* The locks are released even when a hook raises. *)
   match run_hooks hooks with
-  | () -> release_locks t
+  | () ->
+      restamp_locks t ~ran_inverses;
+      release_locks t
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
+      restamp_locks t ~ran_inverses;
       release_locks t;
       Printexc.raise_with_backtrace e bt
 
@@ -47,8 +66,11 @@ let do_abort t reason =
    [writers_in_flight] *before* loading [quiesce]; the fallback sets
    [quiesce] *before* loading [writers_in_flight].  If the writer's
    load saw 0 then its increment precedes the fallback's load, so the
-   fallback waits for it; otherwise the writer aborts. *)
-let quiesce = Atomic.make 0
+   fallback waits for it; otherwise the writer aborts.  Encounter-time
+   locks check the token too (Protocol.lock_for_write): a writer that
+   locks after the fallback read a tvar could only abort later, and
+   under write-through its abort would restamp that tvar and fail the
+   fallback's validation. *)
 let writers_in_flight = Atomic.make 0
 let fallback_token = Atomic.make 1
 

@@ -69,6 +69,10 @@ let try_extend t =
 let rec lock_for_write :
     type a. visible_readers:bool -> t -> a Tvar.t -> attempt:int -> unit =
  fun ~visible_readers t tv ~attempt ->
+  (* A serial-irrevocable fallback turns every other writer away at
+     commit; turn it away before it takes a lock instead. *)
+  if Atomic.get quiesce <> 0 && not t.tdesc.Txn_desc.irrevocable then
+    raise (Abort_exn Conflict);
   match Tvar.try_lock tv t.tdesc with
   | `Mine -> ()
   | `Locked ->
@@ -281,14 +285,20 @@ let lazy_lazy =
     p_pre_read = no_hook;
     p_pre_write = no_hook;
     p_commit = Plan_locks;
+    p_write_through = false;
   }
 
-(* TinySTM/Ennals: encounter-time write locking, lazy read/write. *)
+(* TinySTM/Ennals: encounter-time write locking, lazy read/write.
+   Reads are invisible, so a reader can see a base mutation made under
+   one of our locks and rolled back by our abort; write-through makes
+   that abort release the lock at a new version, which the reader's
+   commit validation then rejects. *)
 let eager_lazy =
   {
     lazy_lazy with
     p_pre_write =
       (fun t tv -> lock_for_write ~visible_readers:false t tv ~attempt:0);
+    p_write_through = true;
   }
 
 (* Eager on both axes: encounter-time write locks plus visible readers

@@ -123,6 +123,9 @@ and proto = {
       (** before buffering a write (encounter-time locking) *)
   p_commit : commit_lock;
       (** what a writing commit holds while it publishes *)
+  p_write_through : bool;
+      (** an abort that ran inverses releases its encounter-time locks
+          at a fresh version (see [Commit_ladder.do_abort]) *)
 }
 
 let null_proto =
@@ -134,6 +137,7 @@ let null_proto =
     p_pre_read = (fun _ _ -> ());
     p_pre_write = (fun _ _ -> ());
     p_commit = Plan_locks;
+    p_write_through = false;
   }
 
 let desc t = t.tdesc
@@ -335,6 +339,11 @@ let commit_gate = Atomic.make 0
    than [v].  Inline gate holders never touch the flag, so for them
    the original gate-free rule applies unchanged. *)
 let gate_quiescent = Atomic.make false
+
+(* The serial-irrevocable quiesce token (0 = none); see
+   [Commit_ladder].  Declared here because encounter-time locking in
+   Protocol turns writers away on it too. *)
+let quiesce = Atomic.make 0
 
 (* The wait is bounded by the episode deadline (0 = none): a gate
    holder that never publishes must not hold a timed transaction past

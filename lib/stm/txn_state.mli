@@ -90,6 +90,7 @@ and proto = {
   p_pre_read : 'a. t -> 'a Tvar.t -> unit;
   p_pre_write : 'a. t -> 'a Tvar.t -> unit;
   p_commit : commit_lock;
+  p_write_through : bool;
 }
 
 val null_proto : proto
@@ -146,6 +147,11 @@ val commit_gate : int Atomic.t
     Must be false whenever a publication is in flight under the gate;
     inline holders never set it. *)
 val gate_quiescent : bool Atomic.t
+
+(** The token of the attempt running in serial-irrevocable fallback
+    (0 = none).  Owned here because encounter-time locking consults it;
+    the protocol lives in {!Commit_ladder}. *)
+val quiesce : int Atomic.t
 
 (** The episode's deadline passed before a snapshot could be taken. *)
 exception Deadline_exceeded

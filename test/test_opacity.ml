@@ -97,6 +97,67 @@ let test_eager_mode_prevents_anomaly () =
   check cb "some committed value survives" true
     (Proust_concurrent.Chashmap.get (S.P_hashmap.backing m) 7 <> None)
 
+(* The dirty read of an aborting writer under Eager_lazy: T1 reads the
+   slot tvar, T2 locks it and mutates the base, T1 reads T2's value
+   from the base, T2 aborts and its inverse restores the base.  Reads
+   are invisible, so only T1's commit validation can catch the window:
+   T2's abort must release the slot at a fresh version (TinySTM's
+   write-through rule), or T1 commits an update derived from a value
+   that never committed. *)
+let test_eager_lazy_dirty_read () =
+  let config = eager_cfg in
+  let backing = Proust_concurrent.Chashmap.create () in
+  ignore (Proust_concurrent.Chashmap.put backing 7 10);
+  let t1_slot_read = gate () and t2_mutated = gate () in
+  let t1_base_read = gate () and t2_aborted = gate () in
+  let first_get = Atomic.make true in
+  let base =
+    {
+      S.Eager_map.bget =
+        (fun k ->
+          (* Between T1's slot read and its base read, let T2 in. *)
+          if Atomic.exchange first_get false then begin
+            signal t1_slot_read;
+            await t2_mutated 1
+          end;
+          Proust_concurrent.Chashmap.get backing k);
+      bput = Proust_concurrent.Chashmap.put backing;
+      bremove = Proust_concurrent.Chashmap.remove backing;
+      bcontains = Proust_concurrent.Chashmap.contains backing;
+    }
+  in
+  let ca = Proust_core.Conflict_abstraction.striped ~slots:64 () in
+  let m =
+    S.Eager_map.make ~base ~lap:(S.Trait.make_lap S.Trait.Optimistic ~ca) ()
+  in
+  let d1 =
+    Domain.spawn (fun () ->
+        Stm.atomically ~config (fun txn ->
+            let v = Option.get (S.Eager_map.get m txn 7) in
+            signal t1_base_read;
+            await t2_aborted 1;
+            ignore (S.Eager_map.put m txn 7 (v + 1))))
+  in
+  let d2 =
+    Domain.spawn (fun () ->
+        await t1_slot_read 1;
+        let tries = ref 0 in
+        Stm.atomically ~config (fun txn ->
+            incr tries;
+            if !tries = 1 then begin
+              ignore (S.Eager_map.put m txn 7 99);
+              signal t2_mutated;
+              await t1_base_read 1;
+              ignore (Stm.restart txn)
+            end);
+        signal t2_aborted)
+  in
+  Domain.join d1;
+  Domain.join d2;
+  check copt_i "T1's increment reads the committed 10, not T2's 99"
+    (Some 11)
+    (Proust_concurrent.Chashmap.get backing 7)
+
 (* ------------------------------------------------------------------ *)
 (* Atomicity of the scheduled conflict under every compatible pairing. *)
 
@@ -234,3 +295,7 @@ let suite =
       (fun (name, config, make) ->
         slow ("atomicity: " ^ name) (scheduled_atomicity name ?config make))
       atomicity_cases
+  @ [
+      slow "eager-lazy: an aborted writer's dirty read fails validation"
+        test_eager_lazy_dirty_read;
+    ]
